@@ -14,9 +14,11 @@
 //!   throughput of the serving runtime and the fleet simulator.
 //!
 //! This library crate exposes small helpers shared by the benches and
-//! by the `bench_cluster` quick-mode throughput runner (`src/bin/`),
-//! including the canonical MLP0 load builders that the serving and
-//! cluster benches sweep — one definition, not per-bench copies.
+//! by the `bench_fleet` benchmark (its own workspace under
+//! `bench_fleet/`), including the canonical MLP0 load builders that the
+//! serving and cluster benches sweep — one definition, not per-bench
+//! copies. Fleet throughput is measured by `bench_fleet`; its results
+//! are in `bench_fleet/RESULTS.md`.
 
 #![warn(missing_docs)]
 
@@ -99,36 +101,6 @@ pub fn colocate_fleet(hosts: usize, requests: usize) -> (FleetSpec, Vec<FleetTen
         mk("LSTM0", 0.10 * dies * 27_000.0, 64, 50.0, 0.08),
         mk("CNN0", 0.05 * dies * 8_300.0, 8, 30.0, 0.02),
     ];
-    (spec, tenants)
-}
-
-/// The cell-structured fleet load behind the sharded-engine rows: one
-/// MLP0 tenant spread over each disjoint 10-host cell (the
-/// `fleet-sweep` scenario's shape), so the tenant↔host graph has one
-/// connected component per cell and the parallel engine can shard it
-/// across cores. Each cell runs at ~50% of its pooled capacity;
-/// `requests` is the fleet-wide total, split evenly across cells.
-///
-/// # Panics
-///
-/// Panics when `hosts` is below 20 (fewer than two cells shard into
-/// nothing).
-pub fn sweep_fleet(hosts: usize, requests: usize) -> (FleetSpec, Vec<FleetTenantSpec>) {
-    assert!(hosts >= 20, "sweep_fleet needs at least two 10-host cells");
-    let cells = hosts / 10;
-    let spec = FleetSpec::new(hosts, 2, 42)
-        .with_router(RouterPolicy::LeastOutstanding)
-        .with_hop(HopModel::Table5 { scale_ms: 1.0 });
-    let per_die = ServiceCurve::tpu_mlp0_table4().capacity_ips(200);
-    let rate = 0.5 * 10.0 * 2.0 * per_die;
-    let tenants = (0..cells)
-        .map(|c| {
-            FleetTenantSpec::new(
-                mlp0_tenant(rate, (requests / cells).max(1)).named(&format!("cell{c:03}")),
-                10,
-            )
-        })
-        .collect();
     (spec, tenants)
 }
 
@@ -268,6 +240,29 @@ mod tests {
             assert_eq!(critical, bulk, "cell {c} tenants must share hosts");
             let want: Vec<usize> = (8 * c..8 * (c + 1)).collect();
             assert_eq!(critical, want, "cell {c} must own hosts {want:?}");
+        }
+    }
+
+    /// The failure-heavy load's behaviour, pinned exactly: the run is
+    /// deterministic, so its retry, drop and shed counts are too, and
+    /// every offered request is served, dropped or shed.
+    #[test]
+    fn resilient_fleet_retries_drops_and_sheds_pinned_counts() {
+        let (spec, tenants) = resilient_fleet(24, 48_000);
+        let run = tpu_cluster::run_fleet(&spec, &tenants, &paper_config());
+        let sum = |f: fn(&tpu_cluster::FleetTenantReport) -> usize| -> usize {
+            run.report.tenants.iter().map(f).sum()
+        };
+        assert_eq!(sum(|t| t.retries), 4_586);
+        assert_eq!(sum(|t| t.dropped), 9_765);
+        assert_eq!(sum(|t| t.shed), 14_409);
+        for t in &run.report.tenants {
+            assert_eq!(
+                t.requests + t.dropped + t.shed,
+                t.offered,
+                "tenant {}: served + dropped + shed != offered",
+                t.name
+            );
         }
     }
 

@@ -24,7 +24,7 @@ use crate::failure::{validate_schedule, FailureKind};
 use crate::fleet::{plan_placement, tenant_swap_ms, FleetSpec, FleetTenantSpec, PlacementPlan};
 use crate::report::{FleetHostReport, FleetReport, FleetTenantReport, ReplicaSample};
 use crate::resilience::{BrownoutConfig, RetryPolicy};
-use crate::route::{Candidate, OutstandingIndex, RouterPolicy, RouterState};
+use crate::route::{self, Candidate, OutstandingIndex, RouterPolicy, RouterState};
 use crate::shard::{self, Scope};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -155,12 +155,8 @@ struct TenantRt {
     /// Reused candidate scratch buffer for the scan-based policies
     /// (round-robin, consistent hash) — no per-request allocation.
     cand_buf: Vec<Candidate>,
-    /// `false` restores the pre-index per-arrival candidate scan (the
-    /// `TPU_CLUSTER_ROUTER=scan` baseline escape hatch; decisions are
-    /// identical either way).
-    use_index: bool,
-    /// `use_index` and the fleet routes with [`RouterPolicy::SwapAware`]
-    /// — the warm subset index is live.
+    /// The fleet routes with [`RouterPolicy::SwapAware`] — the warm
+    /// subset index is live.
     swap_indexed: bool,
     /// The tenant's model identity in the weight-swap subsystem
     /// (co-located fleets only; `None` keeps its slots weight-free).
@@ -348,6 +344,22 @@ fn serving(r: &ReplicaRt, hosts: &[HostRt]) -> bool {
     r.live && r.routable && hosts[r.host].healthy && !hosts[r.host].partitioned
 }
 
+/// The serving replicas as router candidates, in replica order — the
+/// scan the indexes stand in for.
+fn candidates<'a>(
+    replicas: &'a [ReplicaRt],
+    hosts: &'a [HostRt],
+) -> impl Iterator<Item = Candidate> + 'a {
+    replicas
+        .iter()
+        .enumerate()
+        .filter(|(_, r)| serving(r, hosts))
+        .map(|(replica, r)| Candidate {
+            replica,
+            outstanding: r.outstanding,
+        })
+}
+
 impl TenantRt {
     fn eligible(&self, replica: usize, hosts: &[HostRt]) -> bool {
         serving(&self.replicas[replica], hosts)
@@ -355,30 +367,21 @@ impl TenantRt {
 
     fn fill_candidates(&mut self, hosts: &[HostRt]) {
         self.cand_buf.clear();
-        for (i, r) in self.replicas.iter().enumerate() {
-            if serving(r, hosts) {
-                self.cand_buf.push(Candidate {
-                    replica: i,
-                    outstanding: r.outstanding,
-                });
-            }
-        }
+        self.cand_buf.extend(candidates(&self.replicas, hosts));
     }
 
     fn serving_replicas(&self, hosts: &[HostRt]) -> usize {
-        if self.use_index {
-            self.index.len()
-        } else {
-            self.replicas.iter().filter(|r| serving(r, hosts)).count()
-        }
+        debug_assert_eq!(
+            self.index.len(),
+            candidates(&self.replicas, hosts).count(),
+            "tenant {}: serving index size differs from a rescan",
+            self.spec.tenant.name
+        );
+        self.index.len()
     }
 
     fn has_candidates(&self, hosts: &[HostRt]) -> bool {
-        if self.use_index {
-            !self.index.is_empty()
-        } else {
-            self.replicas.iter().any(|r| serving(r, hosts))
-        }
+        self.serving_replicas(hosts) > 0
     }
 
     /// Front-end arrivals not yet delivered into a host queue: still to
@@ -389,66 +392,75 @@ impl TenantRt {
 }
 
 /// Pick a replica for one request of `tenant`, or `None` when nothing
-/// is routable. Least-outstanding reads the delta-maintained index —
-/// the same `(outstanding, replica)` minimum as the legacy candidate
-/// scan, without the per-request O(replicas) walk; the scan policies
-/// (and the `scan` baseline mode) go through the reused candidate
-/// buffer.
+/// is routable. Least-outstanding and swap affinity read the
+/// delta-maintained indexes — the same minimum as a candidate scan,
+/// without the per-request O(replicas) walk; the other policies go
+/// through the reused candidate buffer. Debug builds check every
+/// indexed pick against the scan over live replica state.
 fn pick_replica(
     trs: &mut [TenantRt],
     hosts: &[HostRt],
     spec: &FleetSpec,
     tenant: usize,
 ) -> Option<usize> {
-    if spec.router == RouterPolicy::SwapAware {
-        // Swap affinity: prefer warm replicas, then fewest outstanding,
-        // then lowest index. The indexed path reads the delta-maintained
-        // warm subset (falling back to the full serving index when no
-        // replica is warm) — the identical `(cold, outstanding, replica)`
-        // minimum as the scan below, since warm always beats cold.
-        if trs[tenant].swap_indexed {
-            let tr = &mut trs[tenant];
-            return tr.warm.least().or_else(|| tr.index.least());
-        }
-        let tr = &trs[tenant];
-        // The pre-index baseline (`TPU_CLUSTER_ROUTER=scan`), verbatim:
-        // resolve warmth per candidate against live host state.
-        return tr
-            .replicas
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| serving(r, hosts))
-            .map(|(i, r)| {
-                let cold = !hosts[r.host].core.slot_has_warm_die(r.slot);
-                (cold, r.outstanding, i)
-            })
-            .min()
-            .map(|(_, _, i)| i);
-    }
     let tr = &mut trs[tenant];
-    if !tr.use_index {
-        // The pre-index hot path, verbatim: collect the eligible
-        // replicas into a fresh `Vec` per request and scan it.
-        let cands: Vec<Candidate> = tr
-            .replicas
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| serving(r, hosts))
-            .map(|(i, r)| Candidate {
-                replica: i,
-                outstanding: r.outstanding,
-            })
-            .collect();
-        return tr.router.pick(spec.router, tenant, &cands);
+    match spec.router {
+        RouterPolicy::LeastOutstanding => {
+            let pick = tr.index.least();
+            debug_assert_eq!(
+                pick,
+                scan_least_outstanding(tr, hosts),
+                "tenant {}: least-outstanding index pick differs from the scan",
+                tr.spec.tenant.name
+            );
+            pick
+        }
+        RouterPolicy::SwapAware => {
+            // Swap affinity: prefer warm replicas, then fewest
+            // outstanding, then lowest index. The warm subset falls back
+            // to the full serving index when no replica is warm — the
+            // `(cold, outstanding, replica)` minimum, since warm always
+            // beats cold.
+            let pick = tr.warm.least().or_else(|| tr.index.least());
+            debug_assert_eq!(
+                pick,
+                scan_swap_aware(tr, hosts),
+                "tenant {}: swap-aware index pick differs from the scan",
+                tr.spec.tenant.name
+            );
+            pick
+        }
+        _ => {
+            tr.fill_candidates(hosts);
+            let TenantRt {
+                router, cand_buf, ..
+            } = tr;
+            router.pick(spec.router, tenant, cand_buf)
+        }
     }
-    if spec.router == RouterPolicy::LeastOutstanding {
-        return tr.index.least();
-    }
-    tr.fill_candidates(hosts);
-    let TenantRt {
-        router, cand_buf, ..
-    } = tr;
-    router.pick(spec.router, tenant, cand_buf)
+}
+
+/// The reference least-outstanding pick: a scan of the serving
+/// replicas, ties to the lowest index.
+fn scan_least_outstanding(tr: &TenantRt, hosts: &[HostRt]) -> Option<usize> {
+    let cands: Vec<Candidate> = candidates(&tr.replicas, hosts).collect();
+    (!cands.is_empty()).then(|| route::least_outstanding(&cands))
+}
+
+/// The reference swap-affinity pick: the `(cold, outstanding, replica)`
+/// minimum over the serving replicas, with warmth read live from the
+/// host instead of from the cached bits the warm index trusts.
+fn scan_swap_aware(tr: &TenantRt, hosts: &[HostRt]) -> Option<usize> {
+    tr.replicas
+        .iter()
+        .enumerate()
+        .filter(|(_, r)| serving(r, hosts))
+        .map(|(i, r)| {
+            let cold = !hosts[r.host].core.slot_has_warm_die(r.slot);
+            (cold, r.outstanding, i)
+        })
+        .min()
+        .map(|(_, _, i)| i)
 }
 
 /// Apply a delta to a replica's outstanding count, keeping the
@@ -460,7 +472,7 @@ fn set_outstanding(
     replica: usize,
     new_outstanding: usize,
 ) {
-    let in_index = trs[tenant].use_index && trs[tenant].eligible(replica, hosts);
+    let in_index = trs[tenant].eligible(replica, hosts);
     let tr = &mut trs[tenant];
     let old = tr.replicas[replica].outstanding;
     tr.replicas[replica].outstanding = new_outstanding;
@@ -477,9 +489,6 @@ fn set_outstanding(
 fn reindex_host_replicas(trs: &mut [TenantRt], hosts: &[HostRt], host: usize, now_serving: bool) {
     for (&tenant, &replica) in hosts[host].slot_owner.iter().zip(&hosts[host].slot_replica) {
         let tr = &mut trs[tenant];
-        if !tr.use_index {
-            continue;
-        }
         let r = &mut tr.replicas[replica];
         if r.live && r.routable {
             if now_serving {
@@ -516,9 +525,11 @@ fn refresh_host_warmth(trs: &mut [TenantRt], hosts: &mut [HostRt], host: usize) 
         return;
     }
     h.warm_epoch = epoch;
-    if !h.healthy {
-        // Crashed hosts' replicas are out of every index; their bits
-        // are re-derived at recover-time reinsert.
+    if !h.healthy || h.partitioned {
+        // Crashed and partitioned hosts' replicas are out of every
+        // index (a partitioned host still drains, so its warmth keeps
+        // changing); their bits are re-derived at the reinsert on
+        // recovery or rejoin.
         return;
     }
     for (&tenant, &replica) in h.slot_owner.iter().zip(&h.slot_replica) {
@@ -586,6 +597,81 @@ pub fn run_fleet_telemetry(
     cfg: &TpuConfig,
     tel: &mut RunTelemetry,
 ) -> FleetRun {
+    let placement = validate_and_plan(spec, tenants, cfg);
+
+    // Engine selection (see `crate::shard`): partition the fleet into
+    // the connected components of the tenant↔host placement graph and
+    // run them on worker threads, byte-identical to the single-threaded
+    // reference. Sharding requires a static replica set (no autoscaler
+    // — scale-up couples components) and no instruments (artifacts
+    // interleave hosts in global orders the shards don't see); anything
+    // else runs the reference engine.
+    let instrumented = tel.tracer.is_some()
+        || tel.metrics.is_some()
+        || tel.profile.is_some()
+        || tel.requests.is_some()
+        || tel.monitor.is_some();
+    let scopes = shard::partition(spec, &placement.assignments);
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if shard::auto_shards(
+        spec.autoscale.is_some(),
+        instrumented,
+        scopes.len(),
+        workers,
+    ) {
+        return run_fleet_sharded(spec, tenants, cfg, placement, scopes, workers);
+    }
+    // Freed before the run, so the partition adds nothing to its peak
+    // memory.
+    drop(scopes);
+    run_single(spec, tenants, cfg, tel, placement)
+}
+
+/// Which fleet engine runs a simulation. The two report byte-identically
+/// for every spec and seed; the choice changes only wall-clock time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FleetEngine {
+    /// The single-threaded reference: the whole fleet in one event loop.
+    Single,
+    /// One event loop per connected component of the tenant↔host
+    /// placement graph, spread over worker threads. A spec with an
+    /// autoscaler couples components, so it runs on the reference.
+    Sharded {
+        /// Worker threads (zero runs as one).
+        workers: usize,
+    },
+}
+
+/// [`run_fleet`] on an explicitly chosen engine, for the differential
+/// tests that compare the engines. [`run_fleet`] chooses by itself: it
+/// shards a run with no autoscaler, no instrument, at least two
+/// placement components and at least two available cores.
+///
+/// # Panics
+///
+/// As [`run_fleet`].
+pub fn run_fleet_on(
+    spec: &FleetSpec,
+    tenants: &[FleetTenantSpec],
+    cfg: &TpuConfig,
+    engine: FleetEngine,
+) -> FleetRun {
+    let placement = validate_and_plan(spec, tenants, cfg);
+    match engine {
+        FleetEngine::Sharded { workers } if spec.autoscale.is_none() => {
+            let scopes = shard::partition(spec, &placement.assignments);
+            run_fleet_sharded(spec, tenants, cfg, placement, scopes, workers)
+        }
+        _ => run_single(spec, tenants, cfg, &mut RunTelemetry::off(), placement),
+    }
+}
+
+/// Reject a degenerate spec, then plan the initial placement.
+fn validate_and_plan(
+    spec: &FleetSpec,
+    tenants: &[FleetTenantSpec],
+    cfg: &TpuConfig,
+) -> PlacementPlan {
     assert!(!spec.hosts.is_empty(), "need at least one host");
     assert!(!tenants.is_empty(), "need at least one tenant");
     if let Some(a) = &spec.autoscale {
@@ -598,35 +684,17 @@ pub fn run_fleet_telemetry(
     if let Some(c) = &spec.colocate {
         c.validate();
     }
+    plan_placement(spec, tenants, cfg)
+}
 
-    let placement = plan_placement(spec, tenants, cfg);
-
-    // Engine selection (see `crate::shard`): partition the fleet into
-    // the connected components of the tenant↔host placement graph and
-    // run them on worker threads, byte-identical to the single-threaded
-    // reference kept behind `TPU_CLUSTER_ENGINE=single`. Sharding
-    // requires a static replica set (no autoscaler — scale-up couples
-    // components) and no instruments (artifacts interleave hosts in
-    // global orders the shards don't see); anything else runs the
-    // reference engine.
-    let choice = shard::engine_choice();
-    let tel_off = tel.tracer.is_none()
-        && tel.metrics.is_none()
-        && tel.profile.is_none()
-        && tel.requests.is_none()
-        && tel.monitor.is_none();
-    if choice != shard::EngineChoice::Single && spec.autoscale.is_none() && tel_off {
-        let scopes = shard::partition(spec, &placement.assignments);
-        let workers = shard::shard_workers();
-        let shard_now = match choice {
-            shard::EngineChoice::Sharded => true,
-            _ => scopes.len() >= 2 && workers >= 2,
-        };
-        if shard_now {
-            return run_fleet_sharded(spec, tenants, cfg, placement, scopes, workers);
-        }
-    }
-
+/// The single-threaded reference: the whole fleet as one scope.
+fn run_single(
+    spec: &FleetSpec,
+    tenants: &[FleetTenantSpec],
+    cfg: &TpuConfig,
+    tel: &mut RunTelemetry,
+    placement: PlacementPlan,
+) -> FleetRun {
     let scope = Scope::identity(spec, &placement.assignments);
     let out = run_scoped(spec, tenants, cfg, tel, &scope);
     assemble(spec, placement, out)
@@ -650,18 +718,15 @@ struct ScopedRun {
     makespan_ms: f64,
 }
 
-/// Run the fleet event loop over one [`Scope`] — the whole fleet for
-/// the single-threaded reference, one connected component for a shard.
-/// All seeds, model identities, and probe labels use **global** ids
-/// via the scope mapping, so a component's sub-run replays exactly the
-/// global run restricted to that component.
-fn run_scoped(
+/// Build one scope's hosts and tenants at time zero: every replica of
+/// `scope.plan` placed, serving, and in its tenant's indexes with
+/// nothing outstanding.
+fn init_scope(
     spec: &FleetSpec,
     tenants: &[FleetTenantSpec],
     cfg: &TpuConfig,
-    tel: &mut RunTelemetry,
     scope: &Scope,
-) -> ScopedRun {
+) -> (Vec<HostRt>, Vec<TenantRt>) {
     let mut hosts: Vec<HostRt> = scope
         .hosts
         .iter()
@@ -686,42 +751,11 @@ fn run_scoped(
         })
         .collect();
 
-    // Tracing: one probe per host records die slices and per-request
-    // span trees; the front end gets its own process track for
-    // fleet-level instants.
-    let mut fe_probe = if tel.tracer.is_some() {
-        for (h, host) in hosts.iter_mut().enumerate() {
-            let gh = scope.hosts[h];
-            host.core.set_probe(HostProbe::new(
-                gh as u32,
-                &format!("host {gh}"),
-                spec.hosts[gh].dies,
-            ));
-        }
-        Some(HostProbe::new(spec.hosts.len() as u32, "front-end", 0))
-    } else {
-        None
-    };
-    // Request logging: one probe per host buffers a decomposed record
-    // per served request; the run log absorbs them in host-index order
-    // at end of run, so the artifact is a pure function of the seed.
-    if tel.requests.is_some() {
-        for (h, host) in hosts.iter_mut().enumerate() {
-            host.core
-                .set_request_probe(RequestProbe::new(scope.hosts[h] as u32));
-        }
-    }
-
-    // The indexed least-outstanding router is on unless the
-    // `TPU_CLUSTER_ROUTER=scan` baseline escape hatch restores the
-    // pre-index per-arrival scan (identical decisions, only slower —
-    // `bench_cluster` measures the two in one run).
-    let use_index = !matches!(std::env::var("TPU_CLUSTER_ROUTER").as_deref(), Ok("scan"));
     // Swap-affinity routing additionally maintains the warm subset
-    // index; the `scan` hatch restores the per-arrival warmth scan.
-    let swap_indexed = use_index && spec.router == RouterPolicy::SwapAware;
+    // index.
+    let swap_indexed = spec.router == RouterPolicy::SwapAware;
 
-    let mut trs: Vec<TenantRt> = scope
+    let trs: Vec<TenantRt> = scope
         .tenants
         .iter()
         .enumerate()
@@ -756,9 +790,7 @@ fn run_scoped(
                     hosts[host].slot_replica.push(replica);
                     hosts[host].weight_used += weight;
                     hosts[host].live_slots += 1;
-                    if use_index {
-                        index.insert(0, replica);
-                    }
+                    index.insert(0, replica);
                     let warm_bit = swap_indexed && hosts[host].core.slot_has_warm_die(slot);
                     if warm_bit {
                         warm.insert(0, replica);
@@ -795,7 +827,6 @@ fn run_scoped(
                 index,
                 warm,
                 cand_buf: Vec::new(),
-                use_index,
                 swap_indexed,
                 weights,
                 retry_rt: spec.retry.map(|policy| RetryRt {
@@ -819,6 +850,48 @@ fn run_scoped(
             }
         })
         .collect();
+    (hosts, trs)
+}
+
+/// Run the fleet event loop over one [`Scope`] — the whole fleet for
+/// the single-threaded reference, one connected component for a shard.
+/// All seeds, model identities, and probe labels use **global** ids
+/// via the scope mapping, so a component's sub-run replays exactly the
+/// global run restricted to that component.
+fn run_scoped(
+    spec: &FleetSpec,
+    tenants: &[FleetTenantSpec],
+    cfg: &TpuConfig,
+    tel: &mut RunTelemetry,
+    scope: &Scope,
+) -> ScopedRun {
+    let (mut hosts, mut trs) = init_scope(spec, tenants, cfg, scope);
+
+    // Tracing: one probe per host records die slices and per-request
+    // span trees; the front end gets its own process track for
+    // fleet-level instants.
+    let mut fe_probe = if tel.tracer.is_some() {
+        for (h, host) in hosts.iter_mut().enumerate() {
+            let gh = scope.hosts[h];
+            host.core.set_probe(HostProbe::new(
+                gh as u32,
+                &format!("host {gh}"),
+                spec.hosts[gh].dies,
+            ));
+        }
+        Some(HostProbe::new(spec.hosts.len() as u32, "front-end", 0))
+    } else {
+        None
+    };
+    // Request logging: one probe per host buffers a decomposed record
+    // per served request; the run log absorbs them in host-index order
+    // at end of run, so the artifact is a pure function of the seed.
+    if tel.requests.is_some() {
+        for (h, host) in hosts.iter_mut().enumerate() {
+            host.core
+                .set_request_probe(RequestProbe::new(scope.hosts[h] as u32));
+        }
+    }
 
     // Hedging needs to see dispatches to resolve ties first-wins; the
     // log is a no-op for every fleet that doesn't opt in.
@@ -2178,13 +2251,11 @@ fn autoscale_tenant(
                     r.routable = false;
                     let (o, warm) = (r.outstanding, r.warm);
                     let (h, s) = (r.host, r.slot);
-                    if tr.use_index {
-                        // The victim was serving (the filter above);
-                        // draining removes it from the routable set.
-                        tr.index.remove(o, replica);
-                        if tr.swap_indexed && warm {
-                            tr.warm.remove(o, replica);
-                        }
+                    // The victim was serving (the filter above);
+                    // draining removes it from the routable set.
+                    tr.index.remove(o, replica);
+                    if tr.swap_indexed && warm {
+                        tr.warm.remove(o, replica);
                     }
                     (h, s)
                 };
@@ -2247,12 +2318,10 @@ fn try_scale_up(
     let mark = hosts[host].core.latency_count(slot);
     let busy = hosts[host].core.slot_busy_ms(slot);
     let warm_bit = trs[tenant].swap_indexed && hosts[host].core.slot_has_warm_die(slot);
-    if trs[tenant].use_index {
-        let replica = trs[tenant].replicas.len();
-        trs[tenant].index.insert(0, replica);
-        if warm_bit {
-            trs[tenant].warm.insert(0, replica);
-        }
+    let replica = trs[tenant].replicas.len();
+    trs[tenant].index.insert(0, replica);
+    if warm_bit {
+        trs[tenant].warm.insert(0, replica);
     }
     trs[tenant].replicas.push(ReplicaRt {
         host,
@@ -2334,5 +2403,40 @@ fn sample_now(t_ms: f64, trs: &[TenantRt], hosts: &[HostRt]) -> ReplicaSample {
     ReplicaSample {
         t_ms,
         replicas: trs.iter().map(|tr| tr.serving_replicas(hosts)).collect(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tpu_serve::tenant::ArrivalProcess;
+    use tpu_serve::{BatchPolicy, TenantSpec};
+
+    /// The debug-build cross-check is live: a replica whose outstanding
+    /// count moves behind its index's back fails the very next
+    /// least-outstanding pick instead of misrouting silently.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "least-outstanding index pick differs from the scan")]
+    fn a_desynced_index_fails_the_next_pick() {
+        let cfg = TpuConfig::paper();
+        let spec = FleetSpec::new(2, 2, 42).with_router(RouterPolicy::LeastOutstanding);
+        let tenant = TenantSpec::new(
+            "MLP0",
+            ArrivalProcess::Poisson {
+                rate_rps: 100_000.0,
+            },
+            BatchPolicy::Fixed { batch: 8 },
+            7.0,
+            100,
+        );
+        let tenants = [FleetTenantSpec::new(tenant, 2)];
+        let placement = plan_placement(&spec, &tenants, &cfg);
+        let scope = Scope::identity(&spec, &placement.assignments);
+        let (hosts, mut trs) = init_scope(&spec, &tenants, &cfg, &scope);
+        // The index still files replica 0 at zero outstanding, so it
+        // picks replica 0; the scan sees three and picks replica 1.
+        trs[0].replicas[0].outstanding = 3;
+        pick_replica(&mut trs, &hosts, &spec, 0);
     }
 }

@@ -49,8 +49,9 @@
 //! of the tenant↔host placement graph are independent sub-simulations,
 //! so eligible fleets (no autoscaler, no live telemetry) shard across
 //! worker threads and merge — byte-identical to the single-threaded
-//! reference for every seed and worker count (`TPU_CLUSTER_ENGINE`,
-//! `TPU_CLUSTER_SHARDS`; see `engine` and `shard`).
+//! reference for every seed and worker count. [`run_fleet_on`] takes the
+//! engine as an argument ([`FleetEngine`]) for the tests that compare
+//! the two.
 //!
 //! The front end draws its request streams from
 //! `tpu_serve::workload` — any [`tpu_serve::workload::ArrivalSource`]
@@ -98,7 +99,7 @@ mod shard;
 pub mod topology;
 
 pub use autoscale::{AutoscaleConfig, ScaleSignals};
-pub use engine::{run_fleet, run_fleet_telemetry, FleetRun};
+pub use engine::{run_fleet, run_fleet_on, run_fleet_telemetry, FleetEngine, FleetRun};
 pub use failure::{seeded_outages, validate_schedule, FailureEvent, FailureKind};
 pub use fleet::{
     place, plan_placement, ColocateConfig, FleetSpec, FleetTenantSpec, HopModel, HostPlacement,

@@ -14,7 +14,7 @@
 //!   `1 + jitter_frac · u`, where `u` is drawn from a per-tenant
 //!   seeded stream (`0xB0FF_0000 + tenant` off the fleet seed). No
 //!   wall clock anywhere: the same seed replays the same backoffs bit
-//!   for bit, on any engine (`TPU_CLUSTER_ENGINE`) at any shard count;
+//!   for bit, on either engine at any worker count;
 //! * **retry budgets** ([`RetryBudget`]) — a per-tenant token bucket
 //!   spent on every retry; when it runs dry the circuit breaks and the
 //!   request is dropped instead of amplifying the storm;

@@ -146,7 +146,9 @@ impl RouterState {
     }
 }
 
-fn least_outstanding(candidates: &[Candidate]) -> usize {
+/// The `(outstanding, replica)` minimum of a non-empty candidate set —
+/// the scan the fleet engine's indexes are checked against.
+pub(crate) fn least_outstanding(candidates: &[Candidate]) -> usize {
     candidates
         .iter()
         .min_by_key(|c| (c.outstanding, c.replica))

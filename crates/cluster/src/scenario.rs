@@ -590,9 +590,9 @@ pub const RACK_OUTAGE_DEFAULT_HOSTS: usize = 8;
 /// router), and a die failure on a freshly recovered host. Fleets
 /// beyond the default size (`--hosts`) additionally replay a seeded
 /// **correlated** outage schedule ([`seeded_domain_outages`]) across
-/// the remaining racks — the schedule the CI sharded-vs-single diff
-/// replays at 1000 hosts, byte-identical at every
-/// `TPU_CLUSTER_SHARDS`.
+/// the remaining racks — the schedule the sharded-vs-single
+/// differential test replays at 1000 hosts, byte-identical at every
+/// worker count.
 ///
 /// # Panics
 ///

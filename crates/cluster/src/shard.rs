@@ -15,9 +15,8 @@
 //! failures in schedule order, both preserved per component). So the
 //! sharded engine runs components on worker threads and merges — and
 //! is **byte-identical** to the single-threaded reference for every
-//! seed, which `TPU_CLUSTER_ENGINE=single` keeps available as the
-//! differential baseline (the same escape-hatch pattern as
-//! `TPU_SIM_EVENT_QUEUE=heap` and `TPU_CLUSTER_ROUTER=scan`).
+//! seed. The differential tests force either engine, and any worker
+//! count, through [`crate::engine::run_fleet_on`].
 //!
 //! Sharding is conservative about what it accepts (anything else falls
 //! back to the reference engine, trivially byte-identical):
@@ -26,13 +25,13 @@
 //!   coupling components dynamically;
 //! * **no telemetry instruments** — artifacts interleave events across
 //!   hosts in global orders the shards don't see;
-//! * (for the automatic default) **≥ 2 components and ≥ 2 workers** —
-//!   otherwise parallelism buys nothing.
+//! * (for the automatic choice, [`auto_shards`]) **≥ 2 components and
+//!   ≥ 2 workers** — otherwise parallelism buys nothing.
 //!
-//! `TPU_CLUSTER_SHARDS=N` pins the worker count (results are identical
-//! for every `N`; only wall-clock changes). Components are assigned to
-//! workers longest-processing-time-first by expected event volume, so
-//! a few heavy cells don't serialize behind one thread.
+//! Results are identical for every worker count; only wall-clock
+//! changes. Components are assigned to workers
+//! longest-processing-time-first by expected event volume, so a few
+//! heavy cells don't serialize behind one thread.
 
 use crate::failure::FailureEvent;
 use crate::fleet::{FleetSpec, FleetTenantSpec};
@@ -66,40 +65,17 @@ impl Scope {
     }
 }
 
-/// Which engine a run should use.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum EngineChoice {
-    /// Forced single-threaded reference (`TPU_CLUSTER_ENGINE=single`).
-    Single,
-    /// Forced sharded when eligible (`TPU_CLUSTER_ENGINE=sharded`);
-    /// ineligible specs still fall back to the reference.
-    Sharded,
-    /// Shard when eligible and it can actually help (≥ 2 components,
-    /// ≥ 2 workers).
-    Auto,
-}
-
-/// Read `TPU_CLUSTER_ENGINE`; anything but `single`/`sharded` is auto.
-pub(crate) fn engine_choice() -> EngineChoice {
-    match std::env::var("TPU_CLUSTER_ENGINE").as_deref() {
-        Ok("single") => EngineChoice::Single,
-        Ok("sharded") => EngineChoice::Sharded,
-        _ => EngineChoice::Auto,
-    }
-}
-
-/// Worker thread count: `TPU_CLUSTER_SHARDS` if set and positive, else
-/// the machine's available parallelism.
-pub(crate) fn shard_workers() -> usize {
-    match std::env::var("TPU_CLUSTER_SHARDS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        Some(n) if n >= 1 => n,
-        _ => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    }
+/// The automatic engine choice of `run_fleet`: shard a run iff it has
+/// no autoscaler, no instrument on, at least two placement components
+/// and at least two workers. Pure, so a test pins its truth table and
+/// notices if sharding ever silently switches off.
+pub(crate) fn auto_shards(
+    autoscaled: bool,
+    instrumented: bool,
+    components: usize,
+    workers: usize,
+) -> bool {
+    !autoscaled && !instrumented && components >= 2 && workers >= 2
 }
 
 /// Partition the fleet into connected components of the tenant↔host
@@ -284,6 +260,31 @@ mod tests {
         assert_eq!(scopes[1].failures[0].0, 0);
         assert_eq!(scopes[1].failures[0].1.host, 1); // host 3 → local 1
         assert_eq!(scopes[1].failures[1].0, 2);
+    }
+
+    /// The automatic choice's truth table: every input at a value on
+    /// each side of its threshold, and exactly one row shards.
+    #[test]
+    fn auto_shards_truth_table() {
+        let mut sharding = Vec::new();
+        for autoscaled in [false, true] {
+            for instrumented in [false, true] {
+                for components in [1, 2] {
+                    for workers in [1, 2] {
+                        if auto_shards(autoscaled, instrumented, components, workers) {
+                            sharding.push((autoscaled, instrumented, components, workers));
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(sharding, vec![(false, false, 2, 2)]);
+        // The benchmark's sharded workload (`outage-cells-960`: 120
+        // cells, no autoscaler, no instrument) shards on any multi-core
+        // machine, and an empty partition never does.
+        assert!(auto_shards(false, false, 120, 2));
+        assert!(auto_shards(false, false, 120, 64));
+        assert!(!auto_shards(false, false, 0, 64));
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! [`FailureEvent`]s at the same timestamp. The engine and the sharded
 //! partitioner keep seeing only per-host events, so the correlation
 //! machinery composes with every existing code path — including the
-//! byte-identity contract across `TPU_CLUSTER_SHARDS` and
-//! `TPU_CLUSTER_ENGINE=single`.
+//! byte-identity contract between the sharded engine, at any worker
+//! count, and the single-threaded reference.
 //!
 //! [`seeded_domain_outages`] draws outage windows from per-rack and
 //! per-domain exponential streams (stream ids `0xD0_0000 + rack` and

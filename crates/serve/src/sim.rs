@@ -49,12 +49,10 @@
 //! binary heap on arbitrary schedules.
 //!
 //! The pre-wheel `BinaryHeap` implementation is kept as
-//! [`QueueBackend::BinaryHeap`] — it is the reference for differential
-//! tests and the in-run baseline for the `bench_cluster` throughput
-//! gate. `EventQueue::new` picks the wheel unless the
-//! `TPU_SIM_EVENT_QUEUE=heap` environment variable asks for the
-//! reference backend; the two are observationally identical (same pops,
-//! same panics), so the switch can never change a report.
+//! [`QueueBackend::BinaryHeap`], the reference the differential tests
+//! compare the wheel against. Only [`EventQueue::with_backend`] builds
+//! it; [`EventQueue::new`], which both engines use, always runs the
+//! wheel.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -341,26 +339,13 @@ impl<E> Wheel<E> {
 ///
 /// Both backends pop in exactly `(time, sequence)` order — the choice
 /// can never change a simulation result, only its speed. The reference
-/// heap exists for differential testing and for measuring the wheel's
-/// speedup inside one `bench_cluster` run.
+/// heap exists for differential testing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueueBackend {
     /// The hierarchical timer wheel (default).
     TimerWheel,
     /// The pre-wheel `BinaryHeap` reference implementation.
     BinaryHeap,
-}
-
-impl QueueBackend {
-    /// The backend `EventQueue::new` uses: the wheel, unless the
-    /// `TPU_SIM_EVENT_QUEUE=heap` environment variable selects the
-    /// reference heap (a benchmarking escape hatch).
-    pub fn from_env() -> Self {
-        match std::env::var("TPU_SIM_EVENT_QUEUE").as_deref() {
-            Ok("heap") => QueueBackend::BinaryHeap,
-            _ => QueueBackend::TimerWheel,
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -384,10 +369,9 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// An empty queue at time zero, on the environment-selected backend
-    /// (see [`QueueBackend::from_env`]; the timer wheel by default).
+    /// An empty queue at time zero on the timer wheel.
     pub fn new() -> Self {
-        Self::with_backend(QueueBackend::from_env())
+        Self::with_backend(QueueBackend::TimerWheel)
     }
 
     /// An empty queue at time zero on an explicit backend.

@@ -34,7 +34,8 @@ pub struct WheelProfile {
 }
 
 /// Per-run engine statistics: event-type counts plus the wheel profile
-/// (absent when the run used the reference `BinaryHeap` backend).
+/// (absent only for a queue built on the reference `BinaryHeap`
+/// backend, which no engine uses).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EngineProfile {
     /// `(event type, count)` in engine-defined order.

@@ -133,44 +133,3 @@ fn golden_scheduler_dir_has_no_stale_snapshots() {
         );
     }
 }
-
-/// The baseline escape hatches (`TPU_SIM_EVENT_QUEUE=heap`,
-/// `TPU_CLUSTER_ROUTER=scan`, `TPU_CLUSTER_ENGINE=single`) must change
-/// speed only, never a report: the heaviest routing scenario and the
-/// sharded sweep replay bit-identically under all of them at once.
-/// (The env vars are process-global; concurrently running tests are
-/// unaffected because the modes are observationally identical — that
-/// is exactly what this test pins.)
-#[test]
-fn legacy_heap_scan_and_single_modes_replay_bit_identically() {
-    let cfg = TpuConfig::paper();
-    let run = |name: &str| {
-        let s = tpu_repro::tpu_cluster::scenario_by_name(name)
-            .expect("scenario exists")
-            .scale_requests(SCALE);
-        s.execute(&cfg)
-    };
-    for scenario in ["router-shootout", "fleet-sweep"] {
-        std::env::set_var("TPU_SIM_EVENT_QUEUE", "heap");
-        std::env::set_var("TPU_CLUSTER_ROUTER", "scan");
-        std::env::set_var("TPU_CLUSTER_ENGINE", "single");
-        let legacy = run(scenario);
-        std::env::remove_var("TPU_SIM_EVENT_QUEUE");
-        std::env::remove_var("TPU_CLUSTER_ROUTER");
-        std::env::remove_var("TPU_CLUSTER_ENGINE");
-        let current = run(scenario);
-        assert_eq!(
-            legacy.len(),
-            current.len(),
-            "same runs under both engine modes"
-        );
-        for ((ll, lr), (cl, cr)) in legacy.iter().zip(&current) {
-            assert_eq!(ll, cl);
-            assert_eq!(
-                format!("{}", lr.report),
-                format!("{}", cr.report),
-                "{scenario}/{ll} differs between legacy and current engine modes"
-            );
-        }
-    }
-}

@@ -7,7 +7,8 @@
 //! * **fixed regressions** — crash/recovery edge interleavings that
 //!   once required careful engine ordering (a crash landing during an
 //!   in-flight swap stall, recover+crash at the same millisecond, a
-//!   front-end partition overlapping a straggler window);
+//!   front-end partition overlapping a straggler window, swap-affinity
+//!   routing while hosts are partitioned);
 //! * **properties** — for random small fleets under random failure
 //!   schedules with the resilience layer on, every request is
 //!   accounted for (`served + dropped + shed == offered`), replays are
@@ -19,28 +20,25 @@
 
 use proptest::prelude::*;
 use tpu_repro::tpu_cluster::{
-    run_fleet, scenario_by_name, validate_schedule, BrownoutConfig, ColocateConfig, FailureEvent,
-    FleetReport, FleetSpec, FleetTenantSpec, HedgeConfig, HopModel, RetryBudget, RetryPolicy,
-    RouterPolicy,
+    rack_outage, run_fleet, run_fleet_on, run_fleet_telemetry, scenario_by_name, validate_schedule,
+    BrownoutConfig, ColocateConfig, FailureEvent, FleetEngine, FleetReport, FleetScenario,
+    FleetSpec, FleetTenantSpec, HedgeConfig, HopModel, RetryBudget, RetryPolicy, RouterPolicy,
 };
 use tpu_repro::tpu_core::TpuConfig;
 use tpu_repro::tpu_serve::tenant::ArrivalProcess;
 use tpu_repro::tpu_serve::{BatchPolicy, TenantSpec};
+use tpu_repro::tpu_telemetry::{RequestLog, RunTelemetry};
 
-/// Run `f` with `TPU_CLUSTER_ENGINE` (and optionally
-/// `TPU_CLUSTER_SHARDS`) pinned, restoring the environment after.
-/// Safe concurrently for the same reason as in `sharded_engine.rs`:
-/// the modes are observationally identical.
-fn with_engine<T>(engine: &str, shards: Option<usize>, f: impl FnOnce() -> T) -> T {
-    std::env::set_var("TPU_CLUSTER_ENGINE", engine);
-    match shards {
-        Some(n) => std::env::set_var("TPU_CLUSTER_SHARDS", n.to_string()),
-        None => std::env::remove_var("TPU_CLUSTER_SHARDS"),
-    }
-    let out = f();
-    std::env::remove_var("TPU_CLUSTER_ENGINE");
-    std::env::remove_var("TPU_CLUSTER_SHARDS");
-    out
+/// Every run of a scenario on one engine, rendered as labelled text
+/// reports.
+fn render_on(s: &FleetScenario, cfg: &TpuConfig, engine: FleetEngine) -> Vec<String> {
+    s.runs
+        .iter()
+        .map(|r| {
+            let run = run_fleet_on(&r.spec, &r.tenants, cfg, engine);
+            format!("{}\n{}", r.label, run.report)
+        })
+        .collect()
 }
 
 fn mlp_tenant(rate_rps: f64, priority: u8, requests: usize) -> TenantSpec {
@@ -174,6 +172,54 @@ fn partition_overlapping_straggler_window_loses_nothing() {
     assert_eq!(format!("{}", a.report), format!("{}", b.report));
 }
 
+/// Swap-affinity routing across front-end partitions: a partitioned
+/// host keeps draining, so its dies' warmth keeps changing, yet its
+/// replicas must stay out of the warm index until it rejoins. No
+/// request that reached the front end during a host's partition may be
+/// dispatched there before the host rejoins (a parked request keeps its
+/// arrival time and may land there after).
+#[test]
+fn swap_aware_routing_never_sends_work_to_a_partitioned_host() {
+    let cfg = TpuConfig::paper();
+    let s = scenario_by_name("colocate-interference")
+        .expect("scenario exists")
+        .scale_requests(0.2);
+    let r = s
+        .runs
+        .iter()
+        .find(|r| r.spec.router == RouterPolicy::SwapAware)
+        .expect("a swap-aware run");
+    // Staggered windows: every host is cut off once, never all at once.
+    let windows: Vec<(usize, f64, f64)> = (0..4)
+        .map(|h| (h, 0.5 + h as f64, 3.0 + h as f64))
+        .collect();
+    let mut failures: Vec<FailureEvent> = windows
+        .iter()
+        .flat_map(|&(h, from, until)| FailureEvent::partition_window(from, until, h))
+        .collect();
+    failures.sort_by(|a, b| a.at_ms.total_cmp(&b.at_ms));
+    let spec = r.spec.clone().with_failures(failures);
+    let mut tel = RunTelemetry {
+        requests: Some(RequestLog::new()),
+        ..RunTelemetry::off()
+    };
+    let run = run_fleet_telemetry(&spec, &r.tenants, &cfg, &mut tel);
+    conservation_holds(&run.report);
+    let log = tel.requests.expect("request log attached");
+    for rec in log.records() {
+        for &(h, from, until) in &windows {
+            let cut_off = |t: f64| t > from && t < until;
+            assert!(
+                !(rec.host as usize == h && cut_off(rec.arrived_ms) && cut_off(rec.dispatch_ms)),
+                "a request arriving at {} ms was dispatched on host {h} at {} ms, inside its \
+                 partition [{from}, {until}) ms",
+                rec.arrived_ms,
+                rec.dispatch_ms
+            );
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Hedging: a hard straggler must produce real first-wins races.
 // ---------------------------------------------------------------------
@@ -262,30 +308,29 @@ fn retry_storm_resilient_run_beats_blind_infinite_retry() {
 }
 
 /// Both new scenarios replay byte-identically across every engine
-/// mode: the single-threaded reference, and 1/2/5-worker sharding.
+/// mode: the single-threaded reference, and 1/2/5-worker sharding —
+/// plus the 1000-host `rack-outage` fleet (125 cells under the seeded
+/// correlated outage schedule) at 3 and 8 workers.
 #[test]
 fn resilience_scenarios_are_engine_invariant() {
     let cfg = TpuConfig::paper();
-    for name in ["rack-outage", "retry-storm"] {
+    let named = ["rack-outage", "retry-storm"].map(|name| {
         let s = scenario_by_name(name)
             .expect("scenario exists")
             .scale_requests(0.05);
-        let reference: Vec<String> = with_engine("single", None, || {
-            s.execute(&cfg)
-                .iter()
-                .map(|(l, r)| format!("{l}\n{}", r.report))
-                .collect()
-        });
-        for workers in [1usize, 2, 5] {
-            let sharded: Vec<String> = with_engine("sharded", Some(workers), || {
-                s.execute(&cfg)
-                    .iter()
-                    .map(|(l, r)| format!("{l}\n{}", r.report))
-                    .collect()
-            });
+        (s, &[1usize, 2, 5][..])
+    });
+    let fleet = (rack_outage(1000).scale_requests(0.02), &[3usize, 8][..]);
+    for (s, worker_counts) in named.into_iter().chain([fleet]) {
+        let reference = render_on(&s, &cfg, FleetEngine::Single);
+        for &workers in worker_counts {
+            let sharded = render_on(&s, &cfg, FleetEngine::Sharded { workers });
             assert_eq!(
-                reference, sharded,
-                "{name}: {workers}-worker replay differs from the reference"
+                reference,
+                sharded,
+                "{} ({} hosts): {workers}-worker replay differs from the reference",
+                s.name,
+                s.runs[0].spec.hosts.len()
             );
         }
     }
@@ -458,8 +503,8 @@ proptest! {
     fn sharded_engine_matches_reference_under_failures(p in prop_fleet()) {
         let cfg = TpuConfig::paper();
         let (spec, tenants) = build(&p);
-        let reference = with_engine("single", None, || run_fleet(&spec, &tenants, &cfg));
-        let sharded = with_engine("sharded", Some(3), || run_fleet(&spec, &tenants, &cfg));
+        let reference = run_fleet_on(&spec, &tenants, &cfg, FleetEngine::Single);
+        let sharded = run_fleet_on(&spec, &tenants, &cfg, FleetEngine::Sharded { workers: 3 });
         prop_assert_eq!(
             format!("{}", reference.report),
             format!("{}", sharded.report)

@@ -1,33 +1,17 @@
 //! Differential tests for the sharded parallel fleet engine: for every
 //! eligible spec, the multi-core engine must reproduce the
 //! single-threaded reference **byte for byte** — struct equality, text
-//! report, and JSON — at every worker count. The engine-mode env vars
-//! are process-global; concurrently running tests are unaffected
-//! because the modes are observationally identical, which is exactly
-//! what these tests pin (the same argument as the heap/scan hatch test
-//! in `golden_scheduler.rs`).
+//! report, and JSON — at every worker count. Each run names its engine
+//! through `run_fleet_on`, so tests running side by side cannot change
+//! each other's engine.
 
 use tpu_repro::tpu_cluster::{
-    fleet_sweep, run_fleet, scenario_by_name, FailureEvent, FleetRun, FleetSpec, FleetTenantSpec,
-    HopModel, RouterPolicy,
+    fleet_sweep, run_fleet_on, scenario_by_name, FailureEvent, FleetEngine, FleetRun, FleetSpec,
+    FleetTenantSpec, HopModel, RouterPolicy,
 };
 use tpu_repro::tpu_core::TpuConfig;
 use tpu_repro::tpu_serve::tenant::ArrivalProcess;
 use tpu_repro::tpu_serve::{BatchPolicy, TenantSpec};
-
-/// Run `f` with `TPU_CLUSTER_ENGINE` (and optionally
-/// `TPU_CLUSTER_SHARDS`) pinned, restoring the environment after.
-fn with_engine<T>(engine: &str, shards: Option<usize>, f: impl FnOnce() -> T) -> T {
-    std::env::set_var("TPU_CLUSTER_ENGINE", engine);
-    match shards {
-        Some(n) => std::env::set_var("TPU_CLUSTER_SHARDS", n.to_string()),
-        None => std::env::remove_var("TPU_CLUSTER_SHARDS"),
-    }
-    let out = f();
-    std::env::remove_var("TPU_CLUSTER_ENGINE");
-    std::env::remove_var("TPU_CLUSTER_SHARDS");
-    out
-}
 
 fn assert_bit_identical(reference: &FleetRun, candidate: &FleetRun, what: &str) {
     assert_eq!(
@@ -47,17 +31,24 @@ fn assert_bit_identical(reference: &FleetRun, candidate: &FleetRun, what: &str) 
 }
 
 /// The flagship shape: the `fleet-sweep` scenario's disjoint 10-host
-/// cells, with its crash/recover schedule, at 1, 2, and 7 workers.
+/// cells, with its crash/recover schedule — 4 cells at 1, 2, and 7
+/// workers, and 100 cells (1000 hosts) at 1, 3, and 8.
 #[test]
 fn fleet_sweep_sharded_replays_the_single_reference_bit_for_bit() {
     let cfg = TpuConfig::paper();
-    let s = fleet_sweep(40).scale_requests(0.1);
-    let run_of =
-        |r: &tpu_repro::tpu_cluster::FleetScenarioRun| run_fleet(&r.spec, &r.tenants, &cfg);
-    let reference = with_engine("single", None, || run_of(&s.runs[0]));
-    for workers in [1usize, 2, 7] {
-        let sharded = with_engine("sharded", Some(workers), || run_of(&s.runs[0]));
-        assert_bit_identical(&reference, &sharded, &format!("{workers} workers"));
+    let inputs: [(usize, f64, &[usize]); 2] = [(40, 0.1, &[1, 2, 7]), (1000, 0.05, &[1, 3, 8])];
+    for (hosts, scale, worker_counts) in inputs {
+        let s = fleet_sweep(hosts).scale_requests(scale);
+        let r = &s.runs[0];
+        let reference = run_fleet_on(&r.spec, &r.tenants, &cfg, FleetEngine::Single);
+        for &workers in worker_counts {
+            let sharded = run_fleet_on(&r.spec, &r.tenants, &cfg, FleetEngine::Sharded { workers });
+            assert_bit_identical(
+                &reference,
+                &sharded,
+                &format!("{hosts} hosts, {workers} workers"),
+            );
+        }
     }
 }
 
@@ -140,11 +131,9 @@ fn bridged_cells_with_failures_and_mixed_tenants_match_the_reference() {
             6,
         ),
     ];
-    let reference = with_engine("single", None, || run_fleet(&spec, &tenants, &cfg));
+    let reference = run_fleet_on(&spec, &tenants, &cfg, FleetEngine::Single);
     for workers in [2usize, 5] {
-        let sharded = with_engine("sharded", Some(workers), || {
-            run_fleet(&spec, &tenants, &cfg)
-        });
+        let sharded = run_fleet_on(&spec, &tenants, &cfg, FleetEngine::Sharded { workers });
         assert_bit_identical(&reference, &sharded, &format!("{workers} workers"));
     }
 }
@@ -158,24 +147,27 @@ fn ineligible_specs_fall_back_to_the_reference() {
     let s = scenario_by_name("diurnal-autoscale")
         .expect("scenario exists")
         .scale_requests(0.05);
+    let sharded = FleetEngine::Sharded { workers: 4 };
     let r = &s.runs[0];
-    let reference = with_engine("single", None, || run_fleet(&r.spec, &r.tenants, &cfg));
-    let forced = with_engine("sharded", Some(4), || run_fleet(&r.spec, &r.tenants, &cfg));
+    let reference = run_fleet_on(&r.spec, &r.tenants, &cfg, FleetEngine::Single);
+    let forced = run_fleet_on(&r.spec, &r.tenants, &cfg, sharded);
     assert_bit_identical(&reference, &forced, "autoscaled spec");
 
     let one = scenario_by_name("fleet-steady")
         .expect("scenario exists")
         .scale_requests(0.05);
     let r = &one.runs[0];
-    let reference = with_engine("single", None, || run_fleet(&r.spec, &r.tenants, &cfg));
-    let forced = with_engine("sharded", Some(4), || run_fleet(&r.spec, &r.tenants, &cfg));
+    let reference = run_fleet_on(&r.spec, &r.tenants, &cfg, FleetEngine::Single);
+    let forced = run_fleet_on(&r.spec, &r.tenants, &cfg, sharded);
     assert_bit_identical(&reference, &forced, "single-component spec");
 }
 
 /// The swap-affinity warm-set index must route identically to the
-/// O(replicas) scan it replaced: both colocate scenarios, which
-/// exercise `RouterPolicy::SwapAware` end to end, replay bit for bit
-/// under `TPU_CLUSTER_ROUTER=scan`.
+/// O(replicas) scan it replaced. Debug builds check every indexed pick
+/// against that scan, with warmth read live from the hosts, so these
+/// runs of both colocate scenarios — which exercise
+/// `RouterPolicy::SwapAware` end to end — panic on the first pick where
+/// the two differ.
 #[test]
 fn swap_affinity_warm_index_matches_the_scan_router_bit_for_bit() {
     let cfg = TpuConfig::paper();
@@ -183,13 +175,20 @@ fn swap_affinity_warm_index_matches_the_scan_router_bit_for_bit() {
         let s = scenario_by_name(name)
             .expect("scenario exists")
             .scale_requests(0.2);
-        std::env::set_var("TPU_CLUSTER_ROUTER", "scan");
-        let scanned = s.execute(&cfg);
-        std::env::remove_var("TPU_CLUSTER_ROUTER");
-        let indexed = s.execute(&cfg);
-        for ((sl, sr), (il, ir)) in scanned.iter().zip(&indexed) {
-            assert_eq!(sl, il);
-            assert_bit_identical(sr, ir, &format!("{name}/{sl} scan vs warm index"));
+        assert!(
+            s.runs
+                .iter()
+                .any(|r| r.spec.router == RouterPolicy::SwapAware),
+            "{name} routes swap-aware"
+        );
+        for (label, run) in s.execute(&cfg) {
+            for t in &run.report.tenants {
+                assert_eq!(
+                    t.requests, t.offered,
+                    "{name}/{label}: {} lost work",
+                    t.name
+                );
+            }
         }
     }
 }
