@@ -15,6 +15,7 @@ use crate::failure::FailureEvent;
 use crate::resilience::{BrownoutConfig, RetryPolicy};
 use crate::route::RouterPolicy;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeSet;
 use std::fmt;
 use tpu_core::TpuConfig;
 use tpu_platforms::server::Dispatch;
@@ -358,6 +359,10 @@ impl FleetSpec {
 /// already hosting the tenant) carrying the fewest replicas so far,
 /// breaking ties by host index. Returns `plan[tenant][replica] = host`.
 ///
+/// Hosts wait in a `(slots, host)` ordered set, so a pick walks only
+/// past hosts too full for the tenant (all of them, at worst); a host
+/// leaves the set while it holds the tenant being placed.
+///
 /// # Panics
 ///
 /// Panics when a replica cannot be placed — the error names the
@@ -366,17 +371,16 @@ impl FleetSpec {
 pub fn place(hosts: &[HostSpec], tenants: &[FleetTenantSpec]) -> Vec<Vec<usize>> {
     let mut used = vec![0u64; hosts.len()];
     let mut slots = vec![0usize; hosts.len()];
+    let mut by_slots: BTreeSet<(usize, usize)> = (0..hosts.len()).map(|h| (0, h)).collect();
     let mut plan = Vec::with_capacity(tenants.len());
     for t in tenants {
         let w = t.weight_bytes();
         let mut mine = Vec::with_capacity(t.replicas);
         for r in 0..t.replicas {
-            let host = hosts
+            let host = by_slots
                 .iter()
-                .enumerate()
-                .filter(|(h, spec)| !mine.contains(h) && used[*h] + w <= spec.weight_capacity_bytes)
-                .min_by_key(|(h, _)| (slots[*h], *h))
-                .map(|(h, _)| h)
+                .map(|&(_, h)| h)
+                .find(|&h| used[h] + w <= hosts[h].weight_capacity_bytes)
                 .unwrap_or_else(|| {
                     panic!(
                         "cannot place replica {r} of tenant {} ({w} weight bytes): \
@@ -389,10 +393,12 @@ pub fn place(hosts: &[HostSpec], tenants: &[FleetTenantSpec]) -> Vec<Vec<usize>>
                             .collect::<Vec<_>>()
                     )
                 });
+            by_slots.remove(&(slots[host], host));
             used[host] += w;
             slots[host] += 1;
             mine.push(host);
         }
+        by_slots.extend(mine.iter().map(|&h| (slots[h], h)));
         plan.push(mine);
     }
     plan
@@ -614,6 +620,8 @@ fn bin_pack(
         .map(|h| WeightSet::new(h.weight_capacity_bytes))
         .collect();
     let mut loads = vec![0.0f64; hosts.len()];
+    // `holder[h] == t` iff host `h` already holds a replica of tenant `t`.
+    let mut holder = vec![usize::MAX; hosts.len()];
     let mut plan: Vec<Vec<usize>> = vec![Vec::new(); tenants.len()];
     for &t in &order {
         let ft = &tenants[t];
@@ -623,7 +631,7 @@ fn bin_pack(
             let host = hosts
                 .iter()
                 .enumerate()
-                .filter(|(h, _)| !plan[t].contains(h) && sets[*h].fits(w))
+                .filter(|(h, _)| holder[*h] != t && sets[*h].fits(w))
                 .map(|(h, hs)| {
                     let fill =
                         (sets[h].used_bytes() + w) as f64 / hs.weight_capacity_bytes.max(1) as f64;
@@ -644,6 +652,7 @@ fn bin_pack(
                 .admit(t, w)
                 .expect("feasibility checked by the filter");
             loads[host] += l;
+            holder[host] = t;
             plan[t].push(host);
         }
     }
@@ -851,5 +860,168 @@ mod tests {
     #[should_panic(expected = "replica bounds")]
     fn bad_replica_bounds_rejected() {
         let _ = tenant("MLP0", 3).with_replica_bounds(4, 6);
+    }
+
+    /// Reference for [`place`]: every host tested on every pick, and a
+    /// linear scan of the tenant's hosts so far to exclude them.
+    fn place_by_scan(hosts: &[HostSpec], tenants: &[FleetTenantSpec]) -> Vec<Vec<usize>> {
+        let mut used = vec![0u64; hosts.len()];
+        let mut slots = vec![0usize; hosts.len()];
+        let mut plan = Vec::with_capacity(tenants.len());
+        for t in tenants {
+            let w = t.weight_bytes();
+            let mut mine = Vec::with_capacity(t.replicas);
+            for r in 0..t.replicas {
+                let host = hosts
+                    .iter()
+                    .enumerate()
+                    .filter(|(h, spec)| {
+                        !mine.contains(h) && used[*h] + w <= spec.weight_capacity_bytes
+                    })
+                    .min_by_key(|(h, _)| (slots[*h], *h))
+                    .map(|(h, _)| h)
+                    .unwrap_or_else(|| {
+                        panic!(
+                            "cannot place replica {r} of tenant {} ({w} weight bytes): \
+                             free per host = {:?}",
+                            t.tenant.name,
+                            hosts
+                                .iter()
+                                .enumerate()
+                                .map(|(h, s)| s.weight_capacity_bytes.saturating_sub(used[h]))
+                                .collect::<Vec<_>>()
+                        )
+                    });
+                used[host] += w;
+                slots[host] += 1;
+                mine.push(host);
+            }
+            plan.push(mine);
+        }
+        plan
+    }
+
+    /// Reference for [`bin_pack`]: excludes a tenant's hosts by a linear
+    /// scan of its replicas placed so far.
+    fn bin_pack_by_scan(
+        hosts: &[HostSpec],
+        tenants: &[FleetTenantSpec],
+        cfg: &TpuConfig,
+        mem_weight: f64,
+        load_weight: f64,
+    ) -> Vec<Vec<usize>> {
+        let mut order: Vec<usize> = (0..tenants.len()).collect();
+        order.sort_by_key(|&t| std::cmp::Reverse(tenants[t].weight_bytes()));
+        let mut sets: Vec<WeightSet> = hosts
+            .iter()
+            .map(|h| WeightSet::new(h.weight_capacity_bytes))
+            .collect();
+        let mut loads = vec![0.0f64; hosts.len()];
+        let mut plan: Vec<Vec<usize>> = vec![Vec::new(); tenants.len()];
+        for &t in &order {
+            let ft = &tenants[t];
+            let w = ft.weight_bytes();
+            let l = expected_replica_load(ft, cfg);
+            for r in 0..ft.replicas {
+                let host = hosts
+                    .iter()
+                    .enumerate()
+                    .filter(|(h, _)| !plan[t].contains(h) && sets[*h].fits(w))
+                    .map(|(h, hs)| {
+                        let fill = (sets[h].used_bytes() + w) as f64
+                            / hs.weight_capacity_bytes.max(1) as f64;
+                        let util = (loads[h] + l) / hs.dies.max(1) as f64;
+                        (mem_weight * fill + load_weight * util, h)
+                    })
+                    .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+                    .map(|(_, h)| h)
+                    .unwrap_or_else(|| {
+                        panic!(
+                            "cannot bin-pack replica {r} of tenant {} ({w} weight bytes): \
+                             free per host = {:?}",
+                            ft.tenant.name,
+                            sets.iter().map(WeightSet::free_bytes).collect::<Vec<_>>()
+                        )
+                    });
+                sets[host]
+                    .admit(t, w)
+                    .expect("feasibility checked by the filter");
+                loads[host] += l;
+                plan[t].push(host);
+            }
+        }
+        plan
+    }
+
+    /// A planner's plan, or its panic message.
+    fn plan_or_panic(f: impl FnOnce() -> Vec<Vec<usize>>) -> Result<Vec<Vec<usize>>, String> {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|e| {
+            e.downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_else(|| "non-string panic".to_string())
+        })
+    }
+
+    /// Both planners agree with their scan references on random fleets:
+    /// host capacities from empty through a few models to the full
+    /// 8 GiB (so some hosts are full from the start and others fill
+    /// up), random footprints (the six Table 1 workloads), arrival
+    /// rates and replica counts up to one more than the fleet has
+    /// hosts. Every plan must be identical, and every infeasible input
+    /// must panic with the same message.
+    #[test]
+    fn planners_match_their_scan_references_on_random_fleets() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const WORKLOADS: [&str; 6] = ["MLP0", "MLP1", "LSTM0", "LSTM1", "CNN0", "CNN1"];
+        let cfg = TpuConfig::paper();
+        let mut rng = StdRng::seed_from_u64(18);
+        let (mut planned, mut refused) = (0, 0);
+        for case in 0..400 {
+            let hosts: Vec<HostSpec> = (0..rng.gen_range(1usize..13))
+                .map(|_| {
+                    let capacity = match rng.gen_range(0u32..8) {
+                        0 => 0,
+                        7 => DEFAULT_WEIGHT_CAPACITY_BYTES,
+                        _ => rng.gen_range(0u64..=30) * 10_000_000,
+                    };
+                    HostSpec::new(rng.gen_range(1usize..5)).with_weight_capacity(capacity)
+                })
+                .collect();
+            let tenants: Vec<FleetTenantSpec> = (0..rng.gen_range(1usize..7))
+                .map(|_| {
+                    let workload = WORKLOADS[rng.gen_range(0..WORKLOADS.len())];
+                    let mut t = tenant(workload, rng.gen_range(1..=hosts.len() + 1));
+                    t.tenant.arrivals = ArrivalProcess::Poisson {
+                        rate_rps: rng.gen_range(100.0..100_000.0),
+                    };
+                    t
+                })
+                .collect();
+            let spread = plan_or_panic(|| place(&hosts, &tenants));
+            assert_eq!(
+                spread,
+                plan_or_panic(|| place_by_scan(&hosts, &tenants)),
+                "case {case}: place"
+            );
+            let (mem_weight, load_weight) = (rng.gen_range(0.0..2.0), rng.gen_range(0.0..2.0));
+            let packed =
+                plan_or_panic(|| bin_pack(&hosts, &tenants, &cfg, mem_weight, load_weight));
+            assert_eq!(
+                packed,
+                plan_or_panic(|| bin_pack_by_scan(&hosts, &tenants, &cfg, mem_weight, load_weight)),
+                "case {case}: bin_pack"
+            );
+            for plan in [spread, packed] {
+                match plan {
+                    Ok(_) => planned += 1,
+                    Err(_) => refused += 1,
+                }
+            }
+        }
+        assert!(
+            planned > 200 && refused > 200,
+            "{planned} planned, {refused} refused"
+        );
     }
 }

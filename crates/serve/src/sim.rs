@@ -31,22 +31,33 @@
 //!
 //! The wheel has [`WHEEL_LEVELS`] levels of 64 slots each; level `l`
 //! buckets keys by bit range `[6l, 6l+6)` relative to the *hand* (the
-//! key prefix of the most recently drained slot). Scheduling hashes the
-//! key into the level of its highest bit differing from the hand —
-//! O(1). Below the levels sits the **bottom rung**: the most recently
-//! drained slot, sorted once, from which pops are O(1). When the rung
-//! runs dry the wheel rolls forward: the lowest occupied slot of the
-//! lowest occupied level (the overflow levels re-bucket on rollover)
-//! holds exactly the globally smallest keys and becomes the next rung.
-//! Because simulated time is monotone (scheduling into the past is
-//! rejected), every event is drained into the rung at most once — never
-//! re-cascaded level by level — so schedule/pop are O(1) amortized.
-//! Equal-key events stay in FIFO (sequence) order end to end: slot
-//! buckets are FIFO, the rung sort is stable, and late same-key inserts
-//! land after their elders — so pops remain *exactly* `(time,
-//! sequence)` ordered. The differential proptest in
-//! `tests/event_queue_props.rs` pins the wheel against the reference
-//! binary heap on arbitrary schedules.
+//! key prefix of the most recently drained or split slot). Scheduling
+//! hashes the key into the level of its highest bit differing from the
+//! hand — O(1). Below the levels sits the **bottom rung**: the most
+//! recently drained slot, sorted once, from which pops are O(1). When
+//! the rung runs dry the wheel rolls forward: the lowest occupied slot
+//! of the lowest occupied level (the overflow levels re-bucket on
+//! rollover) holds exactly the globally smallest keys. If it holds at
+//! most [`RUNG_SPILL_THRESHOLD`] entries, or sits on level 0 where all
+//! its entries share one key, it becomes the next rung. Otherwise it is
+//! **split**, as the ladder queue (Tang, Goh & Thng, ACM TOMACS 2005)
+//! splits an oversized bucket into a finer rung: the hand moves to the
+//! slot's prefix and its entries re-bucket, in FIFO order, into the
+//! levels below, which are empty at that moment. The roll repeats until
+//! a slot qualifies. A rung starts no larger than the threshold, and one
+//! that later inserts grow past twice the threshold hands its upper keys
+//! back to the levels below it the same way. Because simulated time is
+//! monotone (scheduling into the past is rejected), an event only ever
+//! moves down a level, at most once per level, so the sorted inserts
+//! that later keys pay into the rung stay short and schedule/pop stay
+//! O(1) amortized. A drained or split slot keeps at most a small buffer,
+//! so the wheel's memory follows the pending set rather than its
+//! high-water mark. Equal-key events stay in FIFO (sequence) order end
+//! to end: slot buckets are FIFO, a split keeps each bucket's order, the
+//! rung sort is stable, and late same-key inserts land after their
+//! elders — so pops remain *exactly* `(time, sequence)` ordered. The
+//! differential proptest in `tests/event_queue_props.rs` pins the wheel
+//! against the reference binary heap on arbitrary schedules.
 //!
 //! The pre-wheel `BinaryHeap` implementation is kept as
 //! [`QueueBackend::BinaryHeap`], the reference the differential tests
@@ -84,18 +95,34 @@ const SLOTS: usize = 1 << LEVEL_BITS;
 /// overflow levels that re-bucket on rollover).
 pub const WHEEL_LEVELS: usize = 11; // ceil(64 / 6)
 
-/// Bottom-rung spill threshold. A push whose key lands inside the
-/// rung's range pays a sorted insert — O(rung length) of memmove — so
-/// a single slot accumulating a huge equal-time burst would degrade
-/// the rung toward an ever-growing sorted list. Once the rung holds
-/// this many entries, a push at or above the rung's *maximum* key
-/// spills into the wheel instead (shrinking the rung's claimed key
-/// range), which is always order-safe: the spilled key is ≥ every rung
-/// key, and equal keys keep FIFO order because wheel buckets drain
-/// after the rung. Pushes strictly below the rung maximum still insert
-/// (they must, to pop before it), so the bound applies exactly to the
-/// degenerate case that hurts: long runs of equal or increasing keys.
+/// Bottom-rung size bound. A push whose key lands inside the rung's
+/// range pays a sorted insert — O(rung length) of memmove — so the rung
+/// must stay short. This bound keeps it short three ways:
+///
+/// * **Drain.** `advance` turns a slot into the rung only if it holds at
+///   most this many entries (or sits on level 0, where all its entries
+///   share one key and need no sort); a larger slot is split into the
+///   levels below first. Without the split a single slot of a large
+///   fleet could hold tens of thousands of in-flight events, and every
+///   push landing inside its key range would sorted-insert across all
+///   of them.
+/// * **Spill.** Once the rung holds this many entries, a push at or
+///   above the rung's *maximum* key spills into the wheel instead
+///   (shrinking the rung's claimed key range), which is always
+///   order-safe: the spilled key is ≥ every rung key, and equal keys
+///   keep FIFO order because wheel buckets drain after the rung. This
+///   stops long runs of equal or increasing keys, such as a huge
+///   equal-time burst.
+/// * **Trim.** Pushes strictly below the rung maximum must still insert
+///   (they pop before it). Once they grow the rung past twice this
+///   bound, its keys from this index up go back into the wheel's lower
+///   levels, and the rung's range shrinks beneath them.
 pub const RUNG_SPILL_THRESHOLD: usize = 128;
+
+/// Capacity a slot buffer keeps once drained or split. A `VecDeque`
+/// never shrinks by itself, so without this every slot would hold the
+/// high-water mark of everything that ever passed through it.
+const RETAINED_SLOT_CAPACITY: usize = 64;
 
 /// The monotone integer key of a finite, non-negative event time.
 /// `+ 0.0` collapses `-0.0` to `+0.0` so the one non-monotone bit
@@ -162,8 +189,8 @@ fn sort_rung<E>(rung: &mut [Entry<E>]) {
 }
 
 /// Lifetime counters the wheel keeps about itself. All updates happen
-/// in the `#[cold]` `advance` path, the rare spill branch, or the
-/// already-O(rung) sorted insert, so the hot push/pop paths are
+/// in the `#[cold]` drain, split and trim paths, the rare spill branch,
+/// or the already-O(rung) sorted insert, so the hot push/pop paths are
 /// untouched; `EventQueue::wheel_profile` snapshots them for
 /// `--engine-stats`.
 #[derive(Debug, Clone)]
@@ -173,10 +200,14 @@ struct WheelStats {
     /// Rung length at each drain, in power-of-two buckets (index =
     /// `floor(log2 len)`).
     rung_hist: [u64; 32],
-    /// Longest bottom rung observed (at drain or after a rung insert).
+    /// Longest bottom rung observed (at drain or after a push into it).
     max_rung: usize,
-    /// Times `advance` ran.
+    /// Times `advance` ran (each ends in exactly one drain).
     advances: u64,
+    /// Oversized buckets handed down to finer levels: slots `advance`
+    /// split instead of draining, and overgrown rungs trimmed (see
+    /// [`RUNG_SPILL_THRESHOLD`]).
+    splits: u64,
     /// Pushes diverted into the wheel by the [`RUNG_SPILL_THRESHOLD`]
     /// guard.
     spills: u64,
@@ -189,6 +220,7 @@ impl WheelStats {
             rung_hist: [0; 32],
             max_rung: 0,
             advances: 0,
+            splits: 0,
             spills: 0,
         }
     }
@@ -202,8 +234,9 @@ struct Wheel<E> {
     slots: Vec<VecDeque<Entry<E>>>,
     /// Per-level occupancy bitmaps: bit `s` set iff slot `s` non-empty.
     occupied: [u64; WHEEL_LEVELS],
-    /// Key prefix of the most recently drained slot. Wheel entries are
-    /// bucketed relative to it; all wheel keys exceed `bottom_bound`.
+    /// Key prefix of the most recently drained or split slot. Wheel
+    /// entries are bucketed relative to it; all wheel keys exceed
+    /// `bottom_bound`.
     hand: u64,
     /// Inclusive upper key bound of the bottom rung: the top of the
     /// most recently drained slot's key range.
@@ -272,6 +305,9 @@ impl<E> Wheel<E> {
             // sequence numbers).
             let at = self.bottom.partition_point(|e| e.key <= key);
             self.bottom.insert(at, Entry { key, event });
+            if self.bottom.len() > 2 * RUNG_SPILL_THRESHOLD {
+                self.trim_rung();
+            }
             if self.bottom.len() > self.stats.max_rung {
                 self.stats.max_rung = self.bottom.len();
             }
@@ -300,21 +336,30 @@ impl<E> Wheel<E> {
     /// lowest occupied level — by construction every key in it is `<=`
     /// every key elsewhere in the wheel — into the (empty) bottom rung,
     /// sort it once, and advance the hand to the slot's key-range
-    /// prefix. Each event is drained at most once (straight into the
-    /// rung it pops from, never re-cascaded level by level), so
-    /// schedule/pop stay O(1) amortized even though adjacent `f64`
-    /// times differ deep in the mantissa.
+    /// prefix. A slot above level 0 holding more than
+    /// [`RUNG_SPILL_THRESHOLD`] entries is split into the levels below
+    /// first, and the search repeats, so the rung starts small and each
+    /// event moves at most once per level, keeping schedule/pop O(1)
+    /// amortized even though adjacent `f64` times differ deep in the
+    /// mantissa.
     #[cold]
     fn advance(&mut self) {
         debug_assert!(self.bottom.is_empty(), "checked by pop");
-        let level = (0..WHEEL_LEVELS)
-            .find(|&l| self.occupied[l] != 0)
-            .expect("len > 0 with an empty bottom rung means a slot is occupied");
-        let slot = self.occupied[level].trailing_zeros() as usize;
+        let (level, slot) = loop {
+            let level = (0..WHEEL_LEVELS)
+                .find(|&l| self.occupied[l] != 0)
+                .expect("len > 0 with an empty bottom rung means a slot is occupied");
+            let slot = self.occupied[level].trailing_zeros() as usize;
+            if level == 0 || self.slots[level * SLOTS + slot].len() <= RUNG_SPILL_THRESHOLD {
+                break (level, slot);
+            }
+            self.split(level, slot);
+        };
         self.occupied[level] &= !(1u64 << slot);
         // The slot's buffer becomes the bottom rung; the old (empty)
-        // rung buffer takes its place — no allocation either way.
+        // rung buffer takes its place, trimmed to a small capacity.
         std::mem::swap(&mut self.bottom, &mut self.slots[level * SLOTS + slot]);
+        self.slots[level * SLOTS + slot].shrink_to(RETAINED_SLOT_CAPACITY);
         sort_rung(self.bottom.make_contiguous());
         self.stats.advances += 1;
         self.stats.drains_per_level[level] += 1;
@@ -332,6 +377,60 @@ impl<E> Wheel<E> {
         // ever-growing rung. Only keys tying or interleaving the
         // already-drained ones pay the rung insert.
         self.bottom_bound = self.bottom.back().expect("occupancy bit was set").key;
+    }
+
+    /// Hand the upper part of an overgrown rung back to the wheel. A
+    /// push below the rung's maximum must sorted-insert (it pops
+    /// first), so a rung drained from a slot holding a few widely
+    /// spread keys would otherwise absorb every push inside that range.
+    /// The keys from index [`RUNG_SPILL_THRESHOLD`] up (from the first
+    /// key above it, if the entries below it all share it) move into
+    /// the wheel's levels below the rung's — they share its prefix — and
+    /// the rung's bound drops beneath them. They go to the *front* of
+    /// their buckets, in order: a spilled push may have left a later
+    /// entry of the rung's maximum key there. A rung of a single key
+    /// stays whole.
+    #[cold]
+    fn trim_rung(&mut self) {
+        let cut = self.bottom[RUNG_SPILL_THRESHOLD].key;
+        let mut keep = self.bottom.partition_point(|e| e.key < cut);
+        if keep == 0 {
+            keep = self.bottom.partition_point(|e| e.key <= cut);
+        }
+        if keep == self.bottom.len() {
+            return;
+        }
+        self.bottom_bound = self.bottom[keep - 1].key;
+        for entry in self.bottom.drain(keep..).rev() {
+            let (level, slot) = Self::bucket(self.hand, entry.key);
+            self.occupied[level] |= 1 << slot;
+            self.slots[level * SLOTS + slot].push_front(entry);
+        }
+        self.stats.splits += 1;
+    }
+
+    /// Split the lowest occupied slot, `slot` of `level > 0`: move the
+    /// hand to the slot's key-range prefix and re-bucket its entries,
+    /// in FIFO order, relative to it. Every entry shares the prefix, so
+    /// each lands on a lower level; those levels are empty (this is the
+    /// lowest occupied slot), so every bucket stays in sequence order.
+    /// No other entry changes bucket: the new hand agrees with the old
+    /// one on every bit above `level`, and on `level` it takes this
+    /// slot's index, below every other occupied slot there.
+    fn split(&mut self, level: usize, slot: usize) {
+        self.occupied[level] &= !(1u64 << slot);
+        let mut entries = std::mem::take(&mut self.slots[level * SLOTS + slot]);
+        let shift = level as u32 * LEVEL_BITS;
+        self.hand = (entries.front().expect("occupancy bit was set").key >> shift) << shift;
+        for entry in entries.drain(..) {
+            let (l, s) = Self::bucket(self.hand, entry.key);
+            debug_assert!(l < level, "a split entry moves down a level");
+            self.occupied[l] |= 1 << s;
+            self.slots[l * SLOTS + s].push_back(entry);
+        }
+        entries.shrink_to(RETAINED_SLOT_CAPACITY);
+        self.slots[level * SLOTS + slot] = entries;
+        self.stats.splits += 1;
     }
 }
 
@@ -467,7 +566,8 @@ impl<E> EventQueue<E> {
 
     /// Snapshot the wheel's self-profile for `--engine-stats`: drains
     /// per level, current occupied-slot counts, the rung-length
-    /// histogram, and the [`RUNG_SPILL_THRESHOLD`] spill counter.
+    /// histogram, and the [`RUNG_SPILL_THRESHOLD`] split and spill
+    /// counters.
     /// `None` on the reference heap backend, which keeps no statistics.
     pub fn wheel_profile(&self) -> Option<WheelProfile> {
         match &self.fel {
@@ -483,6 +583,7 @@ impl<E> EventQueue<E> {
                     rung_hist,
                     max_rung: w.stats.max_rung,
                     advances: w.stats.advances,
+                    splits: w.stats.splits,
                     spills: w.stats.spills,
                     pending: w.len,
                 })
@@ -743,6 +844,78 @@ mod tests {
             EventQueue::<usize>::with_backend(QueueBackend::BinaryHeap).wheel_profile(),
             None
         );
+    }
+
+    /// A slot far larger than the threshold — a thousand distinct keys
+    /// inside one top-level slot — is split down the levels instead of
+    /// drained whole: no rung starts above the threshold, and the pops
+    /// still come out in order. Splits are counted apart from drains.
+    #[test]
+    fn oversized_slot_is_split_before_it_drains() {
+        let mut q: EventQueue<usize> = EventQueue::with_backend(QueueBackend::TimerWheel);
+        let n = RUNG_SPILL_THRESHOLD * 8;
+        for i in (0..n).rev() {
+            q.schedule(1.0 + i as f64 * 1e-3, i);
+        }
+        for want in 0..n {
+            assert_eq!(q.pop().map(|(_, i)| i), Some(want));
+            assert!(
+                q.rung_len() <= RUNG_SPILL_THRESHOLD,
+                "rung {}",
+                q.rung_len()
+            );
+        }
+        let p = q.wheel_profile().expect("wheel backend profiles");
+        assert!(p.splits > 0, "the 1024-entry slot must be split");
+        assert!(
+            p.max_rung <= RUNG_SPILL_THRESHOLD,
+            "max rung {}",
+            p.max_rung
+        );
+        assert_eq!(p.drains_per_level.iter().sum::<u64>(), p.advances);
+        assert_eq!(p.rung_hist.iter().sum::<u64>(), p.advances);
+    }
+
+    /// Pushes below the rung's maximum must sorted-insert, so a rung
+    /// drained from a sparse, wide slot hands its upper keys back to the
+    /// wheel once inserts overgrow it. The rung's maximum key also sits
+    /// in the wheel here (a spilled push), and the entries handed back
+    /// must still pop before that later one.
+    #[test]
+    fn overgrown_rung_is_trimmed_without_reordering_equal_keys() {
+        let mut wheel: EventQueue<usize> = EventQueue::with_backend(QueueBackend::TimerWheel);
+        let mut heap: EventQueue<usize> = EventQueue::with_backend(QueueBackend::BinaryHeap);
+        let mut payload = 0usize;
+        let mut both = |at: f64, wheel: &mut EventQueue<usize>, heap: &mut EventQueue<usize>| {
+            wheel.schedule(at, payload);
+            heap.schedule(at, payload);
+            payload += 1;
+        };
+        // One slot of exactly the threshold, keys spread over [1, 2).
+        for i in 0..RUNG_SPILL_THRESHOLD {
+            both(
+                1.0 + i as f64 / RUNG_SPILL_THRESHOLD as f64,
+                &mut wheel,
+                &mut heap,
+            );
+        }
+        assert_eq!(wheel.pop(), heap.pop());
+        let max = 1.0 + (RUNG_SPILL_THRESHOLD - 1) as f64 / RUNG_SPILL_THRESHOLD as f64;
+        // Back to the threshold with the maximum key, then one more at
+        // the maximum: that one spills into the wheel.
+        both(max, &mut wheel, &mut heap);
+        both(max, &mut wheel, &mut heap);
+        assert_eq!(wheel.wheel_profile().expect("wheel").spills, 1);
+        // Fill the rung's range from below until it must be trimmed.
+        for i in 0..(3 * RUNG_SPILL_THRESHOLD) {
+            both(1.01 + i as f64 * 1e-4, &mut wheel, &mut heap);
+            assert!(wheel.rung_len() <= 2 * RUNG_SPILL_THRESHOLD);
+        }
+        assert!(wheel.wheel_profile().expect("wheel").splits > 0);
+        while !heap.is_empty() {
+            assert_eq!(wheel.pop(), heap.pop());
+        }
+        assert_eq!(wheel.pop(), None);
     }
 
     #[test]

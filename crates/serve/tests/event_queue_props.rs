@@ -5,7 +5,9 @@
 //! engines' bit-identical-per-seed contract rests on the queue.
 
 use proptest::prelude::*;
-use tpu_serve::sim::{EventQueue, QueueBackend};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use tpu_serve::sim::{EventQueue, QueueBackend, RUNG_SPILL_THRESHOLD};
 
 /// One scripted action against both queues.
 #[derive(Debug, Clone, Copy)]
@@ -119,7 +121,6 @@ proptest! {
             1..8,
         ),
     ) {
-        use tpu_serve::sim::RUNG_SPILL_THRESHOLD;
         let mut wheel: EventQueue<usize> = EventQueue::with_backend(QueueBackend::TimerWheel);
         let mut heap: EventQueue<usize> = EventQueue::with_backend(QueueBackend::BinaryHeap);
         let mut payload = 0usize;
@@ -168,5 +169,61 @@ proptest! {
                 break;
             }
         }
+    }
+}
+
+/// Long seeded schedules shaped like a large fleet's event stream: a
+/// constant-hop stream (keys at `now + HOP_MS`, the fleet's `Deliver`
+/// pattern) mixed with near keys, far keys (timers), keys equal to the
+/// current time, and pops. The pending set
+/// grows to thousands of events, so wheel slots pass
+/// `RUNG_SPILL_THRESHOLD` and `advance` splits them; the short
+/// proptests above rarely build a slot that large. Every pop must agree
+/// with the reference heap, and the rung must stay near the threshold.
+#[test]
+fn long_fleet_shaped_schedules_split_slots_and_match_the_heap() {
+    const HOP_MS: f64 = 0.21;
+    const OPS: usize = 60_000;
+    for seed in 0..20u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut wheel: EventQueue<usize> = EventQueue::with_backend(QueueBackend::TimerWheel);
+        let mut heap: EventQueue<usize> = EventQueue::with_backend(QueueBackend::BinaryHeap);
+        let mut payload = 0usize;
+        for op in 0..OPS {
+            // Grow the pending set for the first half, shrink it after.
+            let schedule_p = if op < OPS / 2 { 0.6 } else { 0.4 };
+            if wheel.is_empty() || rng.gen_bool(schedule_p) {
+                let now = wheel.now_ms();
+                let at = match rng.gen_range(0u32..10) {
+                    0..=5 => now + HOP_MS,
+                    6 => now + rng.gen_range(0.0..0.05),
+                    7 => now + rng.gen_range(1.0..1e3),
+                    8 => now,
+                    _ => now + rng.gen_range(0u32..8) as f64 * 0.125,
+                };
+                wheel.schedule(at, payload);
+                heap.schedule(at, payload);
+                payload += 1;
+            } else {
+                let (a, b) = (wheel.pop(), heap.pop());
+                assert_eq!(a, b, "seed {seed}, op {op}");
+                assert_eq!(wheel.now_ms().to_bits(), heap.now_ms().to_bits());
+            }
+            assert_eq!(wheel.len(), heap.len(), "seed {seed}, op {op}");
+        }
+        loop {
+            let (a, b) = (wheel.pop(), heap.pop());
+            assert_eq!(a, b, "seed {seed}, drain");
+            if a.is_none() {
+                break;
+            }
+        }
+        let profile = wheel.wheel_profile().expect("wheel backend profiles");
+        assert!(profile.splits > 0, "seed {seed}: no slot was split");
+        assert!(
+            profile.max_rung <= 2 * RUNG_SPILL_THRESHOLD,
+            "seed {seed}: rung reached {} entries",
+            profile.max_rung
+        );
     }
 }

@@ -1,8 +1,8 @@
 //! Engine self-profiling: what the event core itself did during a run.
 //!
 //! [`WheelProfile`] is filled from the hierarchical timer wheel's
-//! internal counters (kept in the cold `advance` path and the rare
-//! rung-spill branch, so they cost nothing on the hot path);
+//! internal counters (kept in its cold paths — drains, splits and
+//! spills — so they cost nothing on the hot path);
 //! [`EngineProfile`] adds per-event-type counts tallied by the engine
 //! loops. Both surface through `--engine-stats`.
 
@@ -24,8 +24,15 @@ pub struct WheelProfile {
     pub rung_hist: Vec<u64>,
     /// Longest bottom rung ever sorted.
     pub max_rung: usize,
-    /// Times `advance` ran (the rung went dry).
+    /// Times `advance` ran (the rung went dry). Each ends in one drain;
+    /// like `drains_per_level`, `rung_hist` and `max_rung`, it never
+    /// counts a split.
     pub advances: u64,
+    /// Oversized buckets handed down to the wheel's finer levels
+    /// instead of sorted whole: a slot above level 0 holding more than
+    /// `RUNG_SPILL_THRESHOLD` entries when `advance` reaches it, or a
+    /// bottom rung that inserts grew past twice that.
+    pub splits: u64,
     /// Times a push landed past the rung bound because the rung hit
     /// `RUNG_SPILL_THRESHOLD` (the PR 5 spill path).
     pub spills: u64,
@@ -70,8 +77,8 @@ impl EngineProfile {
         }
         if let Some(w) = &self.wheel {
             out.push(format!(
-                "  wheel: advances={} spills={} max-rung={} pending={}",
-                w.advances, w.spills, w.max_rung, w.pending
+                "  wheel: advances={} splits={} spills={} max-rung={} pending={}",
+                w.advances, w.splits, w.spills, w.max_rung, w.pending
             ));
             let drains = join_indexed(&w.drains_per_level, |l, n| format!("L{l}={n}"));
             if !drains.is_empty() {
@@ -141,6 +148,7 @@ impl EngineProfile {
                     ),
                     ("max_rung".to_string(), Value::Number(w.max_rung as f64)),
                     ("advances".to_string(), Value::Number(w.advances as f64)),
+                    ("splits".to_string(), Value::Number(w.splits as f64)),
                     ("spills".to_string(), Value::Number(w.spills as f64)),
                     ("pending".to_string(), Value::Number(w.pending as f64)),
                 ]),
@@ -176,6 +184,7 @@ mod tests {
                 rung_hist: vec![3, 4, 0, 1],
                 max_rung: 9,
                 advances: 7,
+                splits: 3,
                 spills: 2,
                 pending: 0,
             }),
@@ -188,7 +197,7 @@ mod tests {
         assert_eq!(p.total_events(), 14);
         let text = p.lines().join("\n");
         assert!(text.contains("events: arrival=10 die-free=4"));
-        assert!(text.contains("wheel: advances=7 spills=2 max-rung=9 pending=0"));
+        assert!(text.contains("wheel: advances=7 splits=3 spills=2 max-rung=9 pending=0"));
         assert!(text.contains("drains/level: L0=5 L1=2"));
         assert!(text.contains("occupied-slots (of 64): L0=1"));
         assert!(text.contains("rung-length hist: [1,2)=3 [2,4)=4 [8,16)=1"));

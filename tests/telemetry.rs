@@ -10,13 +10,16 @@
 //!   Chrome-trace and metrics artifacts (proptest over seeds);
 //! * **Spans agree with counters** — in `colocate-interference`, the
 //!   per-tenant WeightSwap span totals recorded by the host probes
-//!   match the report's swap-stall columns to float round-off.
+//!   match the report's swap-stall columns to float round-off;
+//! * **The wheel profile pins the queue's shape** — on a 1000-host
+//!   fleet the bottom rung stays near the split threshold.
 
 use proptest::prelude::*;
 use tpu_repro::tpu_cluster;
 use tpu_repro::tpu_core::TpuConfig;
 use tpu_repro::tpu_serve;
-use tpu_repro::tpu_telemetry::{MetricsConfig, RunTelemetry, TelemetryConfig};
+use tpu_repro::tpu_serve::sim::RUNG_SPILL_THRESHOLD;
+use tpu_repro::tpu_telemetry::{EngineProfile, MetricsConfig, RunTelemetry, TelemetryConfig};
 
 /// The golden scale: small enough to be fast, large enough to batch,
 /// swap, and retry.
@@ -104,6 +107,35 @@ fn fleet_reports_are_identical_with_instruments_on() {
             );
         }
     }
+}
+
+/// A 1000-host fleet keeps tens of thousands of in-hop deliveries
+/// pending, and a timer-wheel slot can hold most of them. Drained
+/// whole, such a slot would make a bottom rung of ~15k entries at this
+/// scale, and every delivery scheduled inside its key range would
+/// sorted-insert across it; `advance` splits it first, so the rung
+/// stays near the threshold. The profile forces the single engine,
+/// where the whole fleet shares one queue.
+#[test]
+fn thousand_host_sweep_splits_slots_and_bounds_the_rung() {
+    let cfg = TpuConfig::paper();
+    let s = tpu_cluster::fleet_sweep(1000).scale_requests(SCALE);
+    let r = &s.runs[0];
+    let mut tel = RunTelemetry {
+        profile: Some(EngineProfile::new()),
+        ..RunTelemetry::off()
+    };
+    tpu_cluster::run_fleet_telemetry(&r.spec, &r.tenants, &cfg, &mut tel);
+    let wheel = tel
+        .profile
+        .and_then(|p| p.wheel)
+        .expect("the single engine runs on the wheel");
+    assert!(wheel.splits > 0, "no slot was split: {wheel:?}");
+    assert!(
+        wheel.max_rung <= 2 * RUNG_SPILL_THRESHOLD,
+        "bottom rung reached {} entries",
+        wheel.max_rung
+    );
 }
 
 #[test]
