@@ -23,7 +23,7 @@ use crate::autoscale::{decide, ScaleDecision, ScaleSignals};
 use crate::failure::{validate_schedule, FailureKind};
 use crate::fleet::{plan_placement, tenant_swap_ms, FleetSpec, FleetTenantSpec, PlacementPlan};
 use crate::report::{FleetHostReport, FleetReport, FleetTenantReport, ReplicaSample};
-use crate::resilience::{BrownoutConfig, RetryPolicy};
+use crate::resilience::{BrownoutConfig, HedgeConfig, RetryPolicy};
 use crate::route::{self, Candidate, OutstandingIndex, RouterPolicy, RouterState};
 use crate::shard::{self, Scope};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -212,6 +212,9 @@ struct RetryRt {
     /// Total completions observed (the hedge delay stays floored at
     /// `min_delay_ms` until 20 samples exist).
     lat_seen: usize,
+    /// The hedge delay `lat_window` implies, computed on the first
+    /// arrival after the window last changed.
+    hedge_delay_ms: Option<f64>,
 }
 
 /// One brownout controller: a ring of recent completion SLO outcomes
@@ -841,6 +844,7 @@ fn init_scope(
                     hedge_pending: HashMap::new(),
                     lat_window: VecDeque::new(),
                     lat_seen: 0,
+                    hedge_delay_ms: None,
                 }),
                 shed: 0,
                 dropped: 0,
@@ -989,7 +993,7 @@ fn run_scoped(
                         // the delay the recent completion tail implies,
                         // measured past the hop so the primary is
                         // always delivered before the hedge can fire.
-                        if let Some(delay) = hedge_delay(&trs[tenant]) {
+                        if let Some(delay) = hedge_delay(&mut trs[tenant]) {
                             let hop = trs[tenant].hop_ms;
                             let rt = trs[tenant].retry_rt.as_mut().expect("hedge implies policy");
                             rt.hedge_pending
@@ -1941,16 +1945,33 @@ fn resolve_ties(
 /// hedging is off. The delay is the configured quantile over the
 /// recent completion window, floored at `min_delay_ms` — and pinned to
 /// the floor until 20 completions exist (a tail estimate over fewer
-/// samples is noise).
-fn hedge_delay(tr: &TenantRt) -> Option<f64> {
-    let rt = tr.retry_rt.as_ref()?;
+/// samples is noise). The quantile is cached until the window next
+/// changes, so the arrivals between two completions sort it once. Debug
+/// builds check every cached delay against a fresh quantile.
+fn hedge_delay(tr: &mut TenantRt) -> Option<f64> {
+    let rt = tr.retry_rt.as_mut()?;
     let h = rt.policy.hedge?;
     if rt.lat_seen < 20 {
         return Some(h.min_delay_ms);
     }
-    let mut lat: Vec<f64> = rt.lat_window.iter().copied().collect();
+    let delay = *rt
+        .hedge_delay_ms
+        .get_or_insert_with(|| window_delay(&rt.lat_window, h));
+    debug_assert_eq!(
+        delay.to_bits(),
+        window_delay(&rt.lat_window, h).to_bits(),
+        "tenant {}: cached hedge delay differs from the window's quantile",
+        tr.spec.tenant.name
+    );
+    Some(delay)
+}
+
+/// The hedge config's quantile over a completion window, floored at its
+/// `min_delay_ms`.
+fn window_delay(window: &VecDeque<f64>, h: HedgeConfig) -> f64 {
+    let mut lat: Vec<f64> = window.iter().copied().collect();
     lat.sort_unstable_by(|a, b| a.total_cmp(b));
-    Some(percentile(&lat, h.quantile).max(h.min_delay_ms))
+    percentile(&lat, h.quantile).max(h.min_delay_ms)
 }
 
 /// Feed one completed batch's just-committed latencies to the owning
@@ -1980,6 +2001,9 @@ fn observe_completions(
     if hedging {
         let rt = trs[tenant].retry_rt.as_mut().expect("hedging checked");
         let window = rt.policy.hedge.expect("hedging checked").window;
+        if !lats.is_empty() {
+            rt.hedge_delay_ms = None;
+        }
         for &l in &lats {
             if rt.lat_window.len() == window {
                 rt.lat_window.pop_front();

@@ -9,9 +9,17 @@
 //! shortest-roundtrip `{}` formatting and parse with `str::parse`, so a
 //! finite `f64` survives a serialize → parse cycle bit for bit — the
 //! property `tpu_serve`'s trace replay relies on.
+//!
+//! The writer underneath is public: [`write_number`] and
+//! [`write_string`] append one JSON scalar to a `String` without
+//! allocating. `to_string` renders every tree through them, and an
+//! artifact too large to build as a tree (the `--request-log` record
+//! stream) writes its document straight into its output buffer with
+//! the same two functions, so both paths emit the same bytes.
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::fmt::Write as _;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,28 +48,8 @@ impl Value {
         match self {
             Value::Null => f.push_str("null"),
             Value::Bool(b) => f.push_str(if *b { "true" } else { "false" }),
-            Value::Number(n) => {
-                if n.fract() == 0.0 && n.abs() < 9e15 {
-                    f.push_str(&format!("{}", *n as i64));
-                } else {
-                    f.push_str(&format!("{n}"));
-                }
-            }
-            Value::String(s) => {
-                f.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => f.push_str("\\\""),
-                        '\\' => f.push_str("\\\\"),
-                        '\n' => f.push_str("\\n"),
-                        '\t' => f.push_str("\\t"),
-                        '\r' => f.push_str("\\r"),
-                        c if (c as u32) < 0x20 => f.push_str(&format!("\\u{:04x}", c as u32)),
-                        c => f.push(c),
-                    }
-                }
-                f.push('"');
-            }
+            Value::Number(n) => write_number(f, *n),
+            Value::String(s) => write_string(f, s),
             Value::Array(items) => {
                 f.push('[');
                 for (i, v) in items.iter().enumerate() {
@@ -83,7 +71,7 @@ impl Value {
                         f.push(',');
                     }
                     Self::newline(f, indent, level + 1);
-                    Value::String(k.clone()).write(f, indent, level + 1);
+                    write_string(f, k);
                     f.push(':');
                     if indent.is_some() {
                         f.push(' ');
@@ -101,9 +89,56 @@ impl Value {
     fn newline(f: &mut String, indent: Option<usize>, level: usize) {
         if let Some(w) = indent {
             f.push('\n');
-            f.push_str(&" ".repeat(w * level));
+            f.extend(std::iter::repeat_n(' ', w * level));
         }
     }
+}
+
+/// Append `n` to `out` as a JSON number, exactly as [`to_string`]
+/// renders `Value::Number(n)`: an integral value below 9e15 in
+/// magnitude prints as an integer (so `-0.0` prints `0`), anything else
+/// through `{}`, Rust's shortest round-trip form. Allocates nothing
+/// beyond `out`'s own growth.
+pub fn write_number(out: &mut String, n: f64) {
+    // `String`'s `fmt::Write` cannot fail.
+    let _ = if n.fract() == 0.0 && n.abs() < 9e15 {
+        write!(out, "{}", n as i64)
+    } else {
+        write!(out, "{n}")
+    };
+}
+
+/// Append `s` to `out` as a quoted JSON string, exactly as
+/// [`to_string`] renders `Value::String(s)`: `"` and `\` are
+/// backslash-escaped, newline, tab and carriage return use their short
+/// escapes, other control characters below U+0020 use `\u00xx`, and
+/// everything else (non-ASCII included) is copied as is. Runs of
+/// characters that need no escape are copied in one piece.
+pub fn write_string(out: &mut String, s: &str) {
+    out.push('"');
+    let mut copied = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let short = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\t' => Some("\\t"),
+            b'\r' => Some("\\r"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        // Every byte matched above is ASCII, so `i` is a char boundary.
+        out.push_str(&s[copied..i]);
+        match short {
+            Some(escape) => out.push_str(escape),
+            None => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        copied = i + 1;
+    }
+    out.push_str(&s[copied..]);
+    out.push('"');
 }
 
 impl fmt::Display for Value {
@@ -412,6 +447,213 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The writer's reference: the number arm `Value::write` had before
+    /// [`write_number`] existed, one `format!` per number.
+    fn reference_number(n: f64) -> String {
+        if n.fract() == 0.0 && n.abs() < 9e15 {
+            format!("{}", n as i64)
+        } else {
+            format!("{n}")
+        }
+    }
+
+    /// The string arm `Value::write` had before [`write_string`]
+    /// existed, one `format!` per control character.
+    fn reference_string(s: &str) -> String {
+        let mut f = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => f.push_str("\\\""),
+                '\\' => f.push_str("\\\\"),
+                '\n' => f.push_str("\\n"),
+                '\t' => f.push_str("\\t"),
+                '\r' => f.push_str("\\r"),
+                c if (c as u32) < 0x20 => f.push_str(&format!("\\u{:04x}", c as u32)),
+                c => f.push(c),
+            }
+        }
+        f.push('"');
+        f
+    }
+
+    fn written_number(n: f64) -> String {
+        let mut s = String::new();
+        write_number(&mut s, n);
+        s
+    }
+
+    fn written_string(text: &str) -> String {
+        let mut s = String::new();
+        write_string(&mut s, text);
+        s
+    }
+
+    /// Characters weighted toward the ones the escaper treats
+    /// specially: quotes, backslashes, every control character, DEL,
+    /// and multi-byte UTF-8.
+    fn json_char() -> impl Strategy<Value = char> {
+        prop_oneof![
+            Just('"'),
+            Just('\\'),
+            (0u32..0x20).prop_map(|c| char::from_u32(c).expect("control char")),
+            (0x20u32..0x80).prop_map(|c| char::from_u32(c).expect("ASCII")),
+            (0x80u32..0xd800).prop_map(|c| char::from_u32(c).expect("BMP scalar")),
+            (0x1_0000u32..0x11_0000).prop_map(|c| char::from_u32(c).expect("astral scalar")),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn write_number_matches_the_format_reference(bits in any::<u64>()) {
+            let n = f64::from_bits(bits);
+            prop_assert_eq!(written_number(n), reference_number(n), "bits {:#x}", bits);
+        }
+
+        #[test]
+        fn write_number_matches_near_the_integral_boundary(
+            k in -4096i64..=4096,
+            scale in prop_oneof![Just(1.0f64), Just(0.5), Just(0.25), Just(-1.0)],
+        ) {
+            // 9e15 is exactly representable; step through the f64s on
+            // both sides of it, and through half-integers below it.
+            for base in [9e15f64, -9e15] {
+                let n = base + k as f64 * scale;
+                prop_assert_eq!(written_number(n), reference_number(n), "{:?}", n);
+                let m = f64::from_bits((base.to_bits() as i64 + k) as u64);
+                prop_assert_eq!(written_number(m), reference_number(m), "{:?}", m);
+            }
+        }
+
+        #[test]
+        fn write_number_matches_on_integers_and_subnormals(
+            v in -9_500_000_000_000_000i64..9_500_000_000_000_000,
+            sub in 1u64..(1u64 << 52),
+            negative in any::<bool>(),
+        ) {
+            let n = v as f64;
+            prop_assert_eq!(written_number(n), reference_number(n), "{:?}", n);
+            let s = f64::from_bits(sub | if negative { 1 << 63 } else { 0 });
+            prop_assert!(s.is_subnormal());
+            prop_assert_eq!(written_number(s), reference_number(s), "{:?}", s);
+        }
+
+        #[test]
+        fn write_string_matches_the_escape_reference(
+            chars in prop::collection::vec(json_char(), 0..48),
+        ) {
+            let text: String = chars.into_iter().collect();
+            prop_assert_eq!(written_string(&text), reference_string(&text), "{:?}", text);
+        }
+    }
+
+    /// A document using every value kind, with strings that need
+    /// escaping and numbers on both writer paths.
+    fn sample_document() -> Value {
+        Value::object([
+            ("a".to_string(), Value::Number(1.0)),
+            (
+                "b".to_string(),
+                Value::Array(vec![
+                    Value::Bool(true),
+                    Value::Bool(false),
+                    Value::Null,
+                    Value::Number(-2.75e-3),
+                    Value::Number(1e300),
+                ]),
+            ),
+            (
+                "c".to_string(),
+                Value::String("x\"y\n\\ π\u{1}😀".to_string()),
+            ),
+            ("d".to_string(), Value::Object(BTreeMap::new())),
+            (
+                "e".to_string(),
+                Value::Array(vec![Value::Array(vec![]), Value::Number(-0.0)]),
+            ),
+        ])
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Truncating, flipping or splicing bytes of a valid document
+        /// gives either an error or a value whose rendering parses back
+        /// to itself, compact and pretty, and never a panic.
+        #[test]
+        fn mutated_documents_parse_to_err_or_a_fixed_point(
+            pretty in any::<bool>(),
+            kind in 0u8..3,
+            at in any::<usize>(),
+            from in any::<usize>(),
+            len in any::<usize>(),
+            flip in 1u8..=255,
+        ) {
+            let doc = sample_document();
+            let text = if pretty { to_string_pretty(&doc) } else { to_string(&doc) };
+            let mut bytes = text.into_bytes();
+            let n = bytes.len();
+            match kind {
+                0 => bytes.truncate(at % (n + 1)),
+                1 => bytes[at % n] ^= flip,
+                _ => {
+                    let start = from % n;
+                    let run = bytes[start..(start + len % 24).min(n)].to_vec();
+                    let at = at % (n + 1);
+                    bytes.splice(at..at, run);
+                }
+            }
+            let text = String::from_utf8_lossy(&bytes);
+            if let Ok(v) = from_str(&text) {
+                for rendered in [to_string(&v), to_string_pretty(&v)] {
+                    let again = from_str(&rendered).expect("a rendered value parses back");
+                    prop_assert_eq!(to_string(&again), to_string(&v), "from {:?}", text);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn writer_edge_cases_match_the_reference() {
+        for n in [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            0.1,
+            9e15,
+            -9e15,
+            9e15 - 1.0,
+            9e15 + 2.0,
+            i64::MAX as f64,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            f64::EPSILON,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+        ] {
+            assert_eq!(written_number(n), reference_number(n), "{n:?}");
+        }
+        assert_eq!(written_number(-0.0), "0");
+        assert_eq!(written_number(9e15), "9000000000000000");
+        assert_eq!(written_number(2.5), "2.5");
+        for text in [
+            "",
+            "plain",
+            "q\"b\\",
+            "\u{0}\u{1f}\u{7f}",
+            "tab\tcr\rnl\n",
+            "π😀é",
+        ] {
+            assert_eq!(written_string(text), reference_string(text), "{text:?}");
+        }
+        assert_eq!(written_string("\u{1}"), "\"\\u0001\"");
+    }
 
     #[test]
     fn renders_scalars_and_containers() {

@@ -753,7 +753,12 @@ impl MonitorSink for FleetMonitor {
     }
 
     fn observe_latency(&mut self, tenant: &str, latency_ms: f64, slo_ms: f64) {
-        let acc = self.tenant_acc.entry(tenant.to_string()).or_insert((0, 0));
+        // Called once per request: allocate the tenant's key only on
+        // its first latency of the fold interval.
+        let acc = match self.tenant_acc.get_mut(tenant) {
+            Some(acc) => acc,
+            None => self.tenant_acc.entry(tenant.to_string()).or_insert((0, 0)),
+        };
         acc.0 += 1;
         if latency_ms > slo_ms {
             acc.1 += 1;

@@ -21,6 +21,7 @@ use crate::stats::LatencySketch;
 use serde_json::Value;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 
 /// Sampling cadence and ring capacity.
 #[derive(Debug, Clone, PartialEq)]
@@ -115,7 +116,12 @@ impl MetricsRecorder {
     /// sketches (created on first use). Percentile points materialize at
     /// the next cadence advance.
     pub fn observe(&mut self, series: &str, value_ms: f64) {
-        let buf = self.sketches.entry(series.to_string()).or_default();
+        // Engines call this once per request: look the series up first
+        // and allocate its name only on first sight.
+        let buf = match self.sketches.get_mut(series) {
+            Some(buf) => buf,
+            None => self.sketches.entry(series.to_string()).or_default(),
+        };
         buf.interval.observe(value_ms);
         buf.cumulative.observe(value_ms);
     }
@@ -151,7 +157,10 @@ impl MetricsRecorder {
 
     /// Append a point to `series` (created on first use).
     pub fn record(&mut self, series: &str, t_ms: f64, value: f64) {
-        let buf = self.series.entry(series.to_string()).or_default();
+        let buf = match self.series.get_mut(series) {
+            Some(buf) => buf,
+            None => self.series.entry(series.to_string()).or_default(),
+        };
         if buf.points.len() == self.ring_cap {
             buf.points.pop_front();
             buf.dropped += 1;
@@ -191,10 +200,21 @@ impl MetricsRecorder {
     /// Export every series in long format: `t_ms,series,value` with a
     /// header row, series in name order, points oldest first.
     pub fn to_csv(&self) -> String {
-        let mut out = String::from("t_ms,series,value\n");
+        const HEADER: &str = "t_ms,series,value\n";
+        // A line is the series name plus two short numbers (a cadence
+        // stamp and, mostly, a count or a short fraction), two commas
+        // and a newline; longer numbers cost at worst one regrowth.
+        let bytes: usize = self
+            .series
+            .iter()
+            .map(|(name, buf)| buf.points.len() * (name.len() + 16))
+            .sum();
+        let mut out = String::with_capacity(HEADER.len() + bytes);
+        out.push_str(HEADER);
         for (name, buf) in &self.series {
             for p in &buf.points {
-                out.push_str(&format!("{},{},{}\n", p.t_ms, name, p.value));
+                // `String`'s `fmt::Write` cannot fail.
+                let _ = writeln!(out, "{},{},{}", p.t_ms, name, p.value);
             }
         }
         out

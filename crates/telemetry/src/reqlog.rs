@@ -22,6 +22,14 @@
 //! * `swap` — the weight-swap stall its batch paid at dispatch;
 //! * `service = end - dispatch - swap` — time on the die.
 //!
+//! Rendering streams: [`RequestLog::render`] writes the sorted-key JSON
+//! document once, into a buffer sized from the record count, with
+//! `serde_json`'s [`write_number`] and [`write_string`] — the writer
+//! `serde_json::to_string` uses for every `Value` tree — so the bytes
+//! equal the tree rendering without one node per field. Records of one
+//! batch share six of their eight fields, which are formatted once per
+//! run of same-batch records.
+//!
 //! Retries are attributed at absorb time by joining the fleet engine's
 //! [`RequestLog::note_retry`] calls against records on the exact
 //! `(tenant, arrived_ms)` bits — retried requests keep their original
@@ -29,8 +37,15 @@
 //! exactly; when several same-tenant requests share one arrival
 //! timestamp the full count lands on the first absorbed record.
 
-use serde_json::Value;
+use serde_json::{write_number, write_string, Value};
 use std::collections::BTreeMap;
+
+/// Bytes one rendered record takes at most, in practice: three small
+/// integers, three timestamps of up to 17 significant digits, a swap
+/// stall, a retry count and the punctuation. Sizes the render buffer up
+/// front, so a typical log (about 68 bytes a record at 100 hosts) never
+/// regrows it; a larger one only costs a regrowth.
+const RECORD_BYTES: usize = 72;
 
 /// One served request, fully decomposed.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,6 +82,15 @@ impl RequestRecord {
     /// End-to-end latency (what the report percentiles are over).
     pub fn latency_ms(&self) -> f64 {
         self.end_ms - self.arrived_ms
+    }
+
+    /// True when `a` and `b` came from one batch: every field but
+    /// `arrived_ms` and `retries` matches to the bit.
+    fn same_batch(a: &Self, b: &Self) -> bool {
+        (a.tenant, a.host, a.die) == (b.tenant, b.host, b.die)
+            && a.dispatch_ms.to_bits() == b.dispatch_ms.to_bits()
+            && a.swap_ms.to_bits() == b.swap_ms.to_bits()
+            && a.end_ms.to_bits() == b.end_ms.to_bits()
     }
 }
 
@@ -265,72 +289,88 @@ impl RequestLog {
         self.pending_retries.values().map(|&n| n as u64).sum()
     }
 
-    /// The artifact as a JSON value:
-    /// `{format, version, tenants: [{name, slo_ms}], records: [[tenant,
-    /// host, die, arrived_ms, dispatch_ms, swap_ms, end_ms, retries]]}`.
-    pub fn to_json(&self) -> Value {
-        let tenants = self
-            .tenants
-            .iter()
-            .map(|(name, slo_ms)| {
-                Value::object([
-                    ("name".to_string(), Value::String(name.clone())),
-                    ("slo_ms".to_string(), Value::Number(*slo_ms)),
-                ])
-            })
-            .collect();
-        let records = self
-            .records
-            .iter()
-            .map(|r| {
-                Value::Array(vec![
-                    Value::Number(r.tenant as f64),
-                    Value::Number(r.host as f64),
-                    Value::Number(r.die as f64),
-                    Value::Number(r.arrived_ms),
-                    Value::Number(r.dispatch_ms),
-                    Value::Number(r.swap_ms),
-                    Value::Number(r.end_ms),
-                    Value::Number(r.retries as f64),
-                ])
-            })
-            .collect();
-        let mut top = vec![
-            (
-                "format".to_string(),
-                Value::String("tpu-request-log".to_string()),
-            ),
-            ("version".to_string(), Value::Number(1.0)),
-            ("tenants".to_string(), Value::Array(tenants)),
-            ("records".to_string(), Value::Array(records)),
-        ];
+    /// The artifact text the CLIs write: compact JSON plus a trailing
+    /// newline, `{format, lost?, records, tenants, version}` with keys
+    /// sorted as a `Value` tree renders them:
+    /// `tenants` is `[{name, slo_ms}]`, each record is `[tenant, host,
+    /// die, arrived_ms, dispatch_ms, swap_ms, end_ms, retries]`, and
+    /// the optional `lost` section is `[name, dropped, shed]` rows.
+    /// Bit-identical across same-seed runs.
+    ///
+    /// The document is written once, straight into a buffer sized from
+    /// the record count, through `serde_json`'s own number and string
+    /// writers, so the bytes equal `serde_json::to_string` of the tree
+    /// without building one. Records of one batch differ only in
+    /// `arrived_ms` and `retries`, so the six fields they share are
+    /// formatted once per run of same-batch records.
+    pub fn render(&self) -> String {
+        let mut out = String::with_capacity(
+            128 + 32 * self.tenants.len() + RECORD_BYTES * self.records.len(),
+        );
+        out.push_str("{\"format\":\"tpu-request-log\"");
         // Dropped/shed tallies ride along only when a resilience run
         // produced any, so pre-existing artifacts stay byte-identical.
         if !self.dropped.is_empty() || !self.shed.is_empty() {
             let mut names: Vec<&String> = self.dropped.keys().chain(self.shed.keys()).collect();
             names.sort();
             names.dedup();
-            let lost = names
-                .into_iter()
-                .map(|n| {
-                    Value::Array(vec![
-                        Value::String(n.clone()),
-                        Value::Number(self.dropped_for(n) as f64),
-                        Value::Number(self.shed_for(n) as f64),
-                    ])
-                })
-                .collect();
-            top.push(("lost".to_string(), Value::Array(lost)));
+            out.push_str(",\"lost\":[");
+            for (i, name) in names.into_iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push('[');
+                write_string(&mut out, name);
+                out.push(',');
+                write_number(&mut out, self.dropped_for(name) as f64);
+                out.push(',');
+                write_number(&mut out, self.shed_for(name) as f64);
+                out.push(']');
+            }
+            out.push(']');
         }
-        Value::object(top)
-    }
-
-    /// The artifact text the CLIs write: compact JSON plus a trailing
-    /// newline. Bit-identical across same-seed runs.
-    pub fn render(&self) -> String {
-        let mut s = serde_json::to_string(&self.to_json());
-        s.push('\n');
-        s
+        out.push_str(",\"records\":[");
+        // `[tenant,host,die,` and `,dispatch_ms,swap_ms,end_ms,` of the
+        // current batch run.
+        let (mut head, mut tail) = (String::new(), String::new());
+        let mut sep = "";
+        for run in self.records.chunk_by(RequestRecord::same_batch) {
+            let r = &run[0];
+            head.clear();
+            head.push('[');
+            for v in [r.tenant as f64, r.host as f64, r.die as f64] {
+                write_number(&mut head, v);
+                head.push(',');
+            }
+            tail.clear();
+            for v in [r.dispatch_ms, r.swap_ms, r.end_ms] {
+                tail.push(',');
+                write_number(&mut tail, v);
+            }
+            tail.push(',');
+            for r in run {
+                out.push_str(sep);
+                sep = ",";
+                out.push_str(&head);
+                write_number(&mut out, r.arrived_ms);
+                out.push_str(&tail);
+                write_number(&mut out, r.retries as f64);
+                out.push(']');
+            }
+        }
+        out.push_str("],\"tenants\":[");
+        for (i, (name, slo_ms)) in self.tenants.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"name\":");
+            write_string(&mut out, name);
+            out.push_str(",\"slo_ms\":");
+            write_number(&mut out, *slo_ms);
+            out.push('}');
+        }
+        out.push_str("],\"version\":1}\n");
+        out
     }
 
     /// True when `v` looks like a rendered request log.
@@ -448,6 +488,69 @@ fn as_array<'a>(v: Option<&'a Value>, key: &str) -> Result<&'a Vec<Value>, Strin
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The `Value` tree `render` used to serialize, kept as the
+    /// streamed writer's reference: the same document, one node per
+    /// field.
+    fn tree(log: &RequestLog) -> Value {
+        let tenants = log
+            .tenants
+            .iter()
+            .map(|(name, slo_ms)| {
+                Value::object([
+                    ("name".to_string(), Value::String(name.clone())),
+                    ("slo_ms".to_string(), Value::Number(*slo_ms)),
+                ])
+            })
+            .collect();
+        let records = log
+            .records
+            .iter()
+            .map(|r| {
+                Value::Array(vec![
+                    Value::Number(r.tenant as f64),
+                    Value::Number(r.host as f64),
+                    Value::Number(r.die as f64),
+                    Value::Number(r.arrived_ms),
+                    Value::Number(r.dispatch_ms),
+                    Value::Number(r.swap_ms),
+                    Value::Number(r.end_ms),
+                    Value::Number(r.retries as f64),
+                ])
+            })
+            .collect();
+        let mut top = vec![
+            (
+                "format".to_string(),
+                Value::String("tpu-request-log".to_string()),
+            ),
+            ("version".to_string(), Value::Number(1.0)),
+            ("tenants".to_string(), Value::Array(tenants)),
+            ("records".to_string(), Value::Array(records)),
+        ];
+        if !log.dropped.is_empty() || !log.shed.is_empty() {
+            let mut names: Vec<&String> = log.dropped.keys().chain(log.shed.keys()).collect();
+            names.sort();
+            names.dedup();
+            let lost = names
+                .into_iter()
+                .map(|n| {
+                    Value::Array(vec![
+                        Value::String(n.clone()),
+                        Value::Number(log.dropped_for(n) as f64),
+                        Value::Number(log.shed_for(n) as f64),
+                    ])
+                })
+                .collect();
+            top.push(("lost".to_string(), Value::Array(lost)));
+        }
+        Value::object(top)
+    }
+
+    fn tree_render(log: &RequestLog) -> String {
+        serde_json::to_string(&tree(log)) + "\n"
+    }
 
     /// (tenant, slo, start, swap, end, arrivals) per batch.
     type BatchSpec<'a> = (&'a str, f64, f64, f64, f64, &'a [f64]);
@@ -556,6 +659,130 @@ mod tests {
         let mut clean = RequestLog::new();
         clean.absorb(probe_with(0, &[("A", 7.0, 1.0, 0.0, 2.0, &[0.5])]));
         assert!(!clean.render().contains("lost"));
+    }
+
+    /// A log with every section: several hosts and batches, a retry, a
+    /// tenant name that needs escaping, and drop/shed tallies.
+    fn sample_log() -> RequestLog {
+        let mut log = RequestLog::new();
+        log.note_retry("B", 2.25);
+        log.absorb(probe_with(
+            0,
+            &[
+                ("A", 7.0, 1.0, 0.0, 2.0, &[0.5, 0.625, 0.75]),
+                ("B", 10.0, 3.0, 0.5, 5.0, &[2.25]),
+            ],
+        ));
+        log.absorb(probe_with(
+            3,
+            &[("q\"uo\\te\n", 2.5e-3, 4.1, 0.0, 6.3, &[3.0, -0.0])],
+        ));
+        log.note_drop("A", 0.8);
+        log.note_shed("C", 1.5);
+        log
+    }
+
+    #[test]
+    fn render_equals_the_tree_reference() {
+        assert_eq!(RequestLog::new().render(), tree_render(&RequestLog::new()));
+        let log = sample_log();
+        assert_eq!(log.render(), tree_render(&log));
+        assert!(log
+            .render()
+            .contains(",\"lost\":[[\"A\",1,0],[\"C\",0,1]],"));
+    }
+
+    /// One byte-level mutation of `text`: truncate it (`kind` 0), flip
+    /// one byte (1), or copy a short run of it to another offset (2).
+    /// Invalid UTF-8 is repaired lossily, since the parsers take `&str`.
+    fn mutate(text: &str, kind: u8, at: usize, from: usize, len: usize, flip: u8) -> String {
+        let mut bytes = text.as_bytes().to_vec();
+        let n = bytes.len();
+        match kind {
+            0 => bytes.truncate(at % (n + 1)),
+            1 => bytes[at % n] ^= flip,
+            _ => {
+                let start = from % n;
+                let run = bytes[start..(start + len % 24).min(n)].to_vec();
+                let at = at % (n + 1);
+                bytes.splice(at..at, run);
+            }
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+
+    /// (tenant name, host, die, dispatch, swap, end, arrivals) per batch.
+    type RandomBatch = (usize, u32, usize, f64, u64, f64, Vec<f64>);
+
+    fn random_batch() -> impl Strategy<Value = RandomBatch> {
+        (
+            0usize..4,
+            0u32..3,
+            0usize..4,
+            -1e3f64..1e6,
+            any::<u64>(),
+            prop_oneof![Just(7.0f64), Just(-0.0), 0.0f64..1e4],
+            prop::collection::vec(
+                prop_oneof![0.0f64..1e6, (0u32..1000).prop_map(f64::from)],
+                1..6,
+            ),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn streamed_render_equals_the_tree(
+            batches in prop::collection::vec(random_batch(), 0..12),
+            retries in prop::collection::vec((0usize..4, 0usize..12), 0..4),
+            losses in prop::collection::vec((0usize..4, any::<bool>()), 0..4),
+        ) {
+            const NAMES: [&str; 4] = ["MLP0", "LSTM\"1", "CNN\\0\t", "π"];
+            let mut probes: Vec<RequestProbe> = (0..3).map(RequestProbe::new).collect();
+            let mut arrivals = Vec::new();
+            for (t, host, die, start, swap_bits, end, arr) in &batches {
+                // Any finite swap bit pattern, subnormals included.
+                let swap = f64::from_bits(*swap_bits);
+                let swap = if swap.is_finite() { swap } else { 0.5 };
+                probes[*host as usize].batch_complete(*die, NAMES[*t], 7.0, *start, swap, *end, arr);
+                arrivals.extend(arr.iter().map(|&a| (*t, a)));
+            }
+            let mut log = RequestLog::new();
+            for &(t, i) in &retries {
+                if let Some(&(_, a)) = arrivals.get(i) {
+                    log.note_retry(NAMES[t], a);
+                }
+                log.note_retry(NAMES[t], -1.0);
+            }
+            for &(t, shed) in &losses {
+                if shed {
+                    log.note_shed(NAMES[t], 0.0);
+                } else {
+                    log.note_drop(NAMES[t], 0.0);
+                }
+            }
+            for p in probes {
+                log.absorb(p);
+            }
+            prop_assert_eq!(log.render(), tree_render(&log));
+        }
+
+        #[test]
+        fn mutated_logs_parse_to_err_or_a_fixed_point(
+            kind in 0u8..3,
+            at in any::<usize>(),
+            from in any::<usize>(),
+            len in any::<usize>(),
+            flip in 1u8..=255,
+        ) {
+            let text = mutate(&sample_log().render(), kind, at, from, len, flip);
+            if let Ok(log) = RequestLog::parse(&text) {
+                let once = log.render();
+                let again = RequestLog::parse(&once).expect("a rendered log parses back");
+                prop_assert_eq!(again.render(), once, "from {:?}", text);
+            }
+        }
     }
 
     #[test]
