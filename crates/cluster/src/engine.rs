@@ -18,8 +18,20 @@
 //! at batch completion, *including* hop and any crash-retry delay
 //! (retries keep the original arrival timestamp, so failures land in
 //! the tail where they belong).
+//!
+//! All of one run's state lives in a `FleetState`: the scope's hosts
+//! and tenants, the event queue, the brownout controllers, the
+//! front-end trace track, the replica timeline and the event tallies.
+//! The loop pops an event and hands it to that variant's handler
+//! (`on_arrival`, `on_deliver`, `on_host`, `on_autoscale`, `on_failure`,
+//! `on_retry`, `on_hedge_fire`). A new event needs three things: a
+//! `FleetEvent` variant, its profile name in `event_kinds!`, and its
+//! handler. Instruments are fed only through the `RunTelemetry` hooks
+//! the serve loop shares (cadence sample, completed batch, end of run).
 
-use crate::autoscale::{decide, ScaleDecision, ScaleSignals};
+#![warn(clippy::too_many_lines)]
+
+use crate::autoscale::{decide, AutoscaleConfig, ScaleDecision, ScaleSignals};
 use crate::failure::{validate_schedule, FailureKind};
 use crate::fleet::{plan_placement, tenant_swap_ms, FleetSpec, FleetTenantSpec, PlacementPlan};
 use crate::report::{FleetHostReport, FleetReport, FleetTenantReport, ReplicaSample};
@@ -33,8 +45,8 @@ use tpu_serve::report::percentile;
 use tpu_serve::sim::{self, EventQueue};
 use tpu_serve::weights::ModelWeights;
 use tpu_serve::workload::ArrivalSource;
-use tpu_serve::{HostCore, HostEvent, ServeReport, ServiceCurve};
-use tpu_telemetry::{HostProbe, MetricsRecorder, RequestProbe, RunTelemetry};
+use tpu_serve::{CompletedBatch, HostCore, HostEvent, ServeReport, ServiceCurve};
+use tpu_telemetry::{HostProbe, RunTelemetry};
 
 /// Everything that can happen in the fleet.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,6 +80,37 @@ enum FleetEvent {
     HedgeFire { tenant: usize, ts: f64 },
 }
 
+/// Declares the engine profile's event tallies once: each kind's
+/// counter slot (its discriminant) next to its `EngineProfile` name, in
+/// the order `--engine-stats` prints them and `bench_fleet` reads them.
+macro_rules! event_kinds {
+    ($($kind:ident => $name:literal,)*) => {
+        /// What one popped [`FleetEvent`] turned out to be.
+        #[derive(Debug, Clone, Copy)]
+        enum EventKind {
+            $($kind,)*
+        }
+
+        impl EventKind {
+            /// Each kind's profile name, indexed by discriminant.
+            const NAMES: &'static [&'static str] = &[$($name,)*];
+        }
+    };
+}
+
+event_kinds! {
+    Arrival => "arrival",
+    Deliver => "deliver",
+    Timer => "timer",
+    WeightSwap => "weight-swap",
+    DieFree => "die-free",
+    StaleHost => "stale-host",
+    Autoscale => "autoscale",
+    Failure => "failure",
+    Retry => "retry",
+    HedgeFire => "hedge-fire",
+}
+
 struct HostRt {
     core: HostCore,
     healthy: bool,
@@ -91,9 +134,39 @@ struct HostRt {
     slot_replica: Vec<usize>,
     /// The [`HostCore::weights_epoch`] this host's cached replica
     /// warmth bits reflect; when the core's epoch has moved past it, a
-    /// [`refresh_host_warmth`] pass re-derives the bits and fixes the
-    /// swap-affinity warm-index memberships.
+    /// [`FleetState::refresh_host_warmth`] pass re-derives the bits and
+    /// fixes the swap-affinity warm-index memberships.
     warm_epoch: u64,
+}
+
+impl HostRt {
+    /// Global host `gh` at time zero: healthy, empty, and recording
+    /// onto `tel`'s live instruments.
+    fn new(spec: &FleetSpec, gh: usize, tel: &RunTelemetry) -> Self {
+        let h = &spec.hosts[gh];
+        // Host 0 shares the master seed so a 1-host fleet replays
+        // tpu_serve's service-jitter stream exactly.
+        let mut core = HostCore::new(h.dies, h.dispatch, sim::stream_seed(spec.seed, gh as u64));
+        core.attach_probes(tel, gh as u32);
+        // Hedging needs to see dispatches to resolve ties first-wins;
+        // the log is a no-op for every fleet that doesn't opt in.
+        if spec.retry.is_some_and(|r| r.hedge.is_some()) {
+            core.enable_dispatch_log();
+        }
+        HostRt {
+            core,
+            healthy: true,
+            partitioned: false,
+            epoch: 0,
+            events: 0,
+            crashes: 0,
+            weight_used: 0,
+            live_slots: 0,
+            slot_owner: Vec::new(),
+            slot_replica: Vec::new(),
+            warm_epoch: 0,
+        }
+    }
 }
 
 struct ReplicaRt {
@@ -118,6 +191,10 @@ struct ReplicaRt {
 
 struct TenantRt {
     spec: FleetTenantSpec,
+    /// The model's full weight footprint, charged to a host per live
+    /// replica (resolved once: `FleetTenantSpec::weight_bytes` builds
+    /// the whole model).
+    weight_bytes: u64,
     curve: ServiceCurve,
     hop_ms: f64,
     gen: Box<dyn ArrivalSource>,
@@ -333,6 +410,22 @@ impl BrownoutCtl {
     fn sheds(&self, tenant: usize, priority: u8) -> bool {
         priority <= self.cfg.max_priority_shed && self.groups[self.group_of[tenant]].tripped
     }
+
+    /// Record one outcome (`miss` = SLO miss or abandoned request) for
+    /// `tenant`'s component, marking a trip or clear on the front-end
+    /// track.
+    fn observe(&mut self, tenant: usize, miss: bool, now: f64, fe_probe: &mut Option<HostProbe>) {
+        if let Some(tripped) = self.groups[self.group_of[tenant]].observe(miss, now) {
+            if let Some(p) = fe_probe.as_mut() {
+                let what = if tripped {
+                    "brownout-trip"
+                } else {
+                    "brownout-clear"
+                };
+                p.instant("fleet", what, now);
+            }
+        }
+    }
 }
 
 /// The single serving-eligibility rule: a replica is routable traffic's
@@ -364,6 +457,100 @@ fn candidates<'a>(
 }
 
 impl TenantRt {
+    /// Global tenant `gt` at time zero, with no replica placed yet.
+    fn new(spec: &FleetSpec, cfg: &TpuConfig, ft: &FleetTenantSpec, gt: usize) -> Self {
+        assert!(
+            ft.tenant.requests > 0,
+            "tenant {} has no requests",
+            ft.tenant.name
+        );
+        let weight_bytes = ft.weight_bytes();
+        TenantRt {
+            weight_bytes,
+            curve: ft.tenant.effective_curve(cfg),
+            hop_ms: spec.hop.hop_ms(&ft.tenant.workload),
+            gen: ft.tenant.arrivals.source(
+                &ft.tenant.name,
+                ft.tenant.requests,
+                sim::stream_seed(spec.seed, gt as u64),
+            ),
+            pending_arrival: false,
+            replicas: Vec::new(),
+            router: RouterState::new(),
+            in_hop: 0,
+            displaced_pending: 0,
+            parked: VecDeque::new(),
+            retries: 0,
+            drained: false,
+            last_scale_ms: f64::NEG_INFINITY,
+            index: OutstandingIndex::new(),
+            warm: OutstandingIndex::new(),
+            cand_buf: Vec::new(),
+            // Swap-affinity routing additionally maintains the warm
+            // subset index.
+            swap_indexed: spec.router == RouterPolicy::SwapAware,
+            // Co-location: the tenant is model `gt` — its *global*
+            // index, so shards charge identical swap stalls — and its
+            // batches pay the calibrated cost on a model change.
+            weights: spec.colocate.map(|c| ModelWeights {
+                model: gt,
+                bytes: weight_bytes,
+                swap_ms: tenant_swap_ms(ft, cfg, c.swap_scale),
+            }),
+            retry_rt: spec.retry.map(|policy| RetryRt {
+                policy,
+                rng: StdRng::seed_from_u64(sim::stream_seed(spec.seed, 0xB0FF_0000 + gt as u64)),
+                attempts: HashMap::new(),
+                tokens: policy.budget.map_or(0.0, |b| b.tokens),
+                last_refill_ms: 0.0,
+                hedge_pending: HashMap::new(),
+                lat_window: VecDeque::new(),
+                lat_seen: 0,
+                hedge_delay_ms: None,
+            }),
+            shed: 0,
+            dropped: 0,
+            hedges: 0,
+            hedge_wins: 0,
+            spec: ft.clone(),
+        }
+    }
+
+    /// Place a new replica of this tenant (local index `t`) on `host`:
+    /// a slot with the tenant's curve and model, charged to the host's
+    /// weight memory, serving, and in the indexes with nothing
+    /// outstanding.
+    fn place_replica(&mut self, t: usize, host: usize, hosts: &mut [HostRt]) {
+        let h = &mut hosts[host];
+        let slot = h.core.add_slot(self.spec.tenant.clone(), self.curve);
+        if let Some(mw) = self.weights {
+            h.core.set_slot_weights(slot, mw);
+        }
+        let replica = self.replicas.len();
+        h.slot_owner.push(t);
+        h.slot_replica.push(replica);
+        h.weight_used += self.weight_bytes;
+        h.live_slots += 1;
+        if self.drained {
+            h.core.set_draining(slot, true);
+        }
+        let warm = self.swap_indexed && h.core.slot_has_warm_die(slot);
+        self.index.insert(0, replica);
+        if warm {
+            self.warm.insert(0, replica);
+        }
+        self.replicas.push(ReplicaRt {
+            host,
+            slot,
+            routable: true,
+            live: true,
+            outstanding: 0,
+            window_mark: h.core.latency_count(slot),
+            busy_mark: h.core.slot_busy_ms(slot),
+            warm,
+        });
+    }
+
     fn eligible(&self, replica: usize, hosts: &[HostRt]) -> bool {
         serving(&self.replicas[replica], hosts)
     }
@@ -392,55 +579,60 @@ impl TenantRt {
     fn undelivered(&self) -> usize {
         self.gen.remaining() + self.pending_arrival as usize
     }
-}
 
-/// Pick a replica for one request of `tenant`, or `None` when nothing
-/// is routable. Least-outstanding and swap affinity read the
-/// delta-maintained indexes — the same minimum as a candidate scan,
-/// without the per-request O(replicas) walk; the other policies go
-/// through the reused candidate buffer. Debug builds check every
-/// indexed pick against the scan over live replica state.
-fn pick_replica(
-    trs: &mut [TenantRt],
-    hosts: &[HostRt],
-    spec: &FleetSpec,
-    tenant: usize,
-) -> Option<usize> {
-    let tr = &mut trs[tenant];
-    match spec.router {
-        RouterPolicy::LeastOutstanding => {
-            let pick = tr.index.least();
-            debug_assert_eq!(
-                pick,
-                scan_least_outstanding(tr, hosts),
-                "tenant {}: least-outstanding index pick differs from the scan",
-                tr.spec.tenant.name
-            );
-            pick
+    /// The hedge-fire delay for a fresh arrival, or `None` when hedging
+    /// is off. The delay is the configured quantile over the recent
+    /// completion window, floored at `min_delay_ms` — and pinned to the
+    /// floor until 20 completions exist (a tail estimate over fewer
+    /// samples is noise). The quantile is cached until the window next
+    /// changes, so the arrivals between two completions sort it once.
+    /// Debug builds check every cached delay against a fresh quantile.
+    fn hedge_delay(&mut self) -> Option<f64> {
+        let rt = self.retry_rt.as_mut()?;
+        let h = rt.policy.hedge?;
+        if rt.lat_seen < 20 {
+            return Some(h.min_delay_ms);
         }
-        RouterPolicy::SwapAware => {
-            // Swap affinity: prefer warm replicas, then fewest
-            // outstanding, then lowest index. The warm subset falls back
-            // to the full serving index when no replica is warm — the
-            // `(cold, outstanding, replica)` minimum, since warm always
-            // beats cold.
-            let pick = tr.warm.least().or_else(|| tr.index.least());
-            debug_assert_eq!(
-                pick,
-                scan_swap_aware(tr, hosts),
-                "tenant {}: swap-aware index pick differs from the scan",
-                tr.spec.tenant.name
-            );
-            pick
+        let delay = *rt
+            .hedge_delay_ms
+            .get_or_insert_with(|| window_delay(&rt.lat_window, h));
+        debug_assert_eq!(
+            delay.to_bits(),
+            window_delay(&rt.lat_window, h).to_bits(),
+            "tenant {}: cached hedge delay differs from the window's quantile",
+            self.spec.tenant.name
+        );
+        Some(delay)
+    }
+
+    /// Feed one completed batch's latencies to the hedge-delay window
+    /// (a no-op unless the tenant hedges).
+    fn observe_hedge_window(&mut self, lats: &[f64]) {
+        let Some(rt) = self.retry_rt.as_mut() else {
+            return;
+        };
+        let Some(h) = rt.policy.hedge else {
+            return;
+        };
+        if !lats.is_empty() {
+            rt.hedge_delay_ms = None;
         }
-        _ => {
-            tr.fill_candidates(hosts);
-            let TenantRt {
-                router, cand_buf, ..
-            } = tr;
-            router.pick(spec.router, tenant, cand_buf)
+        for &l in lats {
+            if rt.lat_window.len() == h.window {
+                rt.lat_window.pop_front();
+            }
+            rt.lat_window.push_back(l);
+            rt.lat_seen += 1;
         }
     }
+}
+
+/// The hedge config's quantile over a completion window, floored at its
+/// `min_delay_ms`.
+fn window_delay(window: &VecDeque<f64>, h: HedgeConfig) -> f64 {
+    let mut lat: Vec<f64> = window.iter().copied().collect();
+    lat.sort_unstable_by(|a, b| a.total_cmp(b));
+    percentile(&lat, h.quantile).max(h.min_delay_ms)
 }
 
 /// The reference least-outstanding pick: a scan of the serving
@@ -464,97 +656,6 @@ fn scan_swap_aware(tr: &TenantRt, hosts: &[HostRt]) -> Option<usize> {
         })
         .min()
         .map(|(_, _, i)| i)
-}
-
-/// Apply a delta to a replica's outstanding count, keeping the
-/// least-outstanding index in sync when the replica is serving.
-fn set_outstanding(
-    trs: &mut [TenantRt],
-    hosts: &[HostRt],
-    tenant: usize,
-    replica: usize,
-    new_outstanding: usize,
-) {
-    let in_index = trs[tenant].eligible(replica, hosts);
-    let tr = &mut trs[tenant];
-    let old = tr.replicas[replica].outstanding;
-    tr.replicas[replica].outstanding = new_outstanding;
-    if in_index {
-        tr.index.update(old, new_outstanding, replica);
-        if tr.swap_indexed && tr.replicas[replica].warm {
-            tr.warm.update(old, new_outstanding, replica);
-        }
-    }
-}
-
-/// A host's health flipped: add (`true`) or drop (`false`) every
-/// routable replica it carries from its tenant's serving index.
-fn reindex_host_replicas(trs: &mut [TenantRt], hosts: &[HostRt], host: usize, now_serving: bool) {
-    for (&tenant, &replica) in hosts[host].slot_owner.iter().zip(&hosts[host].slot_replica) {
-        let tr = &mut trs[tenant];
-        let r = &mut tr.replicas[replica];
-        if r.live && r.routable {
-            if now_serving {
-                // Warmth is re-derived fresh at insert (the host's dies
-                // were wiped by the crash that removed it), so the warm
-                // subset never trusts a bit cached across an outage.
-                let warm = tr.swap_indexed && hosts[host].core.slot_has_warm_die(r.slot);
-                r.warm = warm;
-                let o = r.outstanding;
-                tr.index.insert(o, replica);
-                if warm {
-                    tr.warm.insert(o, replica);
-                }
-            } else {
-                let (o, warm) = (r.outstanding, r.warm);
-                tr.index.remove(o, replica);
-                if tr.swap_indexed && warm {
-                    tr.warm.remove(o, replica);
-                }
-            }
-        }
-    }
-}
-
-/// Re-derive the cached warmth bits for one host's replicas after its
-/// die weight state changed (swap begun, swap completed), moving
-/// serving replicas between the swap-affinity warm index and the cold
-/// remainder. One integer compare when nothing changed — the common
-/// case for every non-co-located fleet.
-fn refresh_host_warmth(trs: &mut [TenantRt], hosts: &mut [HostRt], host: usize) {
-    let h = &mut hosts[host];
-    let epoch = h.core.weights_epoch();
-    if epoch == h.warm_epoch {
-        return;
-    }
-    h.warm_epoch = epoch;
-    if !h.healthy || h.partitioned {
-        // Crashed and partitioned hosts' replicas are out of every
-        // index (a partitioned host still drains, so its warmth keeps
-        // changing); their bits are re-derived at the reinsert on
-        // recovery or rejoin.
-        return;
-    }
-    for (&tenant, &replica) in h.slot_owner.iter().zip(&h.slot_replica) {
-        let tr = &mut trs[tenant];
-        if !tr.swap_indexed {
-            continue;
-        }
-        let r = &mut tr.replicas[replica];
-        let warm = h.core.slot_has_warm_die(r.slot);
-        if warm == r.warm {
-            continue;
-        }
-        r.warm = warm;
-        if r.live && r.routable {
-            let o = r.outstanding;
-            if warm {
-                tr.warm.insert(o, replica);
-            } else {
-                tr.warm.remove(o, replica);
-            }
-        }
-    }
 }
 
 /// The outcome of [`run_fleet`]: the fleet-wide report plus each
@@ -721,147 +822,9 @@ struct ScopedRun {
     makespan_ms: f64,
 }
 
-/// Build one scope's hosts and tenants at time zero: every replica of
-/// `scope.plan` placed, serving, and in its tenant's indexes with
-/// nothing outstanding.
-fn init_scope(
-    spec: &FleetSpec,
-    tenants: &[FleetTenantSpec],
-    cfg: &TpuConfig,
-    scope: &Scope,
-) -> (Vec<HostRt>, Vec<TenantRt>) {
-    let mut hosts: Vec<HostRt> = scope
-        .hosts
-        .iter()
-        .map(|&gh| HostRt {
-            // Host 0 shares the master seed so a 1-host fleet replays
-            // tpu_serve's service-jitter stream exactly.
-            core: HostCore::new(
-                spec.hosts[gh].dies,
-                spec.hosts[gh].dispatch,
-                sim::stream_seed(spec.seed, gh as u64),
-            ),
-            healthy: true,
-            partitioned: false,
-            epoch: 0,
-            events: 0,
-            crashes: 0,
-            weight_used: 0,
-            live_slots: 0,
-            slot_owner: Vec::new(),
-            slot_replica: Vec::new(),
-            warm_epoch: 0,
-        })
-        .collect();
-
-    // Swap-affinity routing additionally maintains the warm subset
-    // index.
-    let swap_indexed = spec.router == RouterPolicy::SwapAware;
-
-    let trs: Vec<TenantRt> = scope
-        .tenants
-        .iter()
-        .enumerate()
-        .map(|(t, &gt)| {
-            let ft = &tenants[gt];
-            assert!(
-                ft.tenant.requests > 0,
-                "tenant {} has no requests",
-                ft.tenant.name
-            );
-            let curve = ft.tenant.effective_curve(cfg);
-            let weight = ft.weight_bytes();
-            // Co-location: the tenant is model `gt` — its *global*
-            // index, so shards charge identical swap stalls — and its
-            // batches pay the calibrated cost on a model change.
-            let weights = spec.colocate.map(|c| ModelWeights {
-                model: gt,
-                bytes: weight,
-                swap_ms: tenant_swap_ms(ft, cfg, c.swap_scale),
-            });
-            let mut index = OutstandingIndex::new();
-            let mut warm = OutstandingIndex::new();
-            let replicas: Vec<ReplicaRt> = scope.plan[t]
-                .iter()
-                .enumerate()
-                .map(|(replica, &host)| {
-                    let slot = hosts[host].core.add_slot(ft.tenant.clone(), curve);
-                    if let Some(mw) = weights {
-                        hosts[host].core.set_slot_weights(slot, mw);
-                    }
-                    hosts[host].slot_owner.push(t);
-                    hosts[host].slot_replica.push(replica);
-                    hosts[host].weight_used += weight;
-                    hosts[host].live_slots += 1;
-                    index.insert(0, replica);
-                    let warm_bit = swap_indexed && hosts[host].core.slot_has_warm_die(slot);
-                    if warm_bit {
-                        warm.insert(0, replica);
-                    }
-                    ReplicaRt {
-                        host,
-                        slot,
-                        routable: true,
-                        live: true,
-                        outstanding: 0,
-                        window_mark: 0,
-                        busy_mark: 0.0,
-                        warm: warm_bit,
-                    }
-                })
-                .collect();
-            TenantRt {
-                curve,
-                hop_ms: spec.hop.hop_ms(&ft.tenant.workload),
-                gen: ft.tenant.arrivals.source(
-                    &ft.tenant.name,
-                    ft.tenant.requests,
-                    sim::stream_seed(spec.seed, gt as u64),
-                ),
-                pending_arrival: false,
-                replicas,
-                router: RouterState::new(),
-                in_hop: 0,
-                displaced_pending: 0,
-                parked: VecDeque::new(),
-                retries: 0,
-                drained: false,
-                last_scale_ms: f64::NEG_INFINITY,
-                index,
-                warm,
-                cand_buf: Vec::new(),
-                swap_indexed,
-                weights,
-                retry_rt: spec.retry.map(|policy| RetryRt {
-                    policy,
-                    rng: StdRng::seed_from_u64(sim::stream_seed(
-                        spec.seed,
-                        0xB0FF_0000 + gt as u64,
-                    )),
-                    attempts: HashMap::new(),
-                    tokens: policy.budget.map_or(0.0, |b| b.tokens),
-                    last_refill_ms: 0.0,
-                    hedge_pending: HashMap::new(),
-                    lat_window: VecDeque::new(),
-                    lat_seen: 0,
-                    hedge_delay_ms: None,
-                }),
-                shed: 0,
-                dropped: 0,
-                hedges: 0,
-                hedge_wins: 0,
-                spec: ft.clone(),
-            }
-        })
-        .collect();
-    (hosts, trs)
-}
-
 /// Run the fleet event loop over one [`Scope`] — the whole fleet for
-/// the single-threaded reference, one connected component for a shard.
-/// All seeds, model identities, and probe labels use **global** ids
-/// via the scope mapping, so a component's sub-run replays exactly the
-/// global run restricted to that component.
+/// the single-threaded reference, one connected component for a shard:
+/// build the state, hand each popped event to its handler, finish.
 fn run_scoped(
     spec: &FleetSpec,
     tenants: &[FleetTenantSpec],
@@ -869,674 +832,1081 @@ fn run_scoped(
     tel: &mut RunTelemetry,
     scope: &Scope,
 ) -> ScopedRun {
-    let (mut hosts, mut trs) = init_scope(spec, tenants, cfg, scope);
-
-    // Tracing: one probe per host records die slices and per-request
-    // span trees; the front end gets its own process track for
-    // fleet-level instants.
-    let mut fe_probe = if tel.tracer.is_some() {
-        for (h, host) in hosts.iter_mut().enumerate() {
-            let gh = scope.hosts[h];
-            host.core.set_probe(HostProbe::new(
-                gh as u32,
-                &format!("host {gh}"),
-                spec.hosts[gh].dies,
-            ));
-        }
-        Some(HostProbe::new(spec.hosts.len() as u32, "front-end", 0))
-    } else {
-        None
-    };
-    // Request logging: one probe per host buffers a decomposed record
-    // per served request; the run log absorbs them in host-index order
-    // at end of run, so the artifact is a pure function of the seed.
-    if tel.requests.is_some() {
-        for (h, host) in hosts.iter_mut().enumerate() {
-            host.core
-                .set_request_probe(RequestProbe::new(scope.hosts[h] as u32));
-        }
-    }
-
-    // Hedging needs to see dispatches to resolve ties first-wins; the
-    // log is a no-op for every fleet that doesn't opt in.
-    if spec.retry.is_some_and(|r| r.hedge.is_some()) {
-        for host in hosts.iter_mut() {
-            host.core.enable_dispatch_log();
-        }
-    }
-    // Graceful degradation (opt-in): one brownout controller per
-    // placement-connected component sheds the lowest-priority
-    // admissions while its component's SLO burn stays high.
-    let mut brownout: Option<BrownoutCtl> = spec
-        .brownout
-        .map(|cfg| BrownoutCtl::new(cfg, &scope.plan, hosts.len()));
-
-    let mut q: EventQueue<FleetEvent> = EventQueue::new();
-    for (t, tr) in trs.iter_mut().enumerate() {
-        let at = tr
-            .gen
-            .next_arrival_ms(0.0)
-            .expect("a source emits at least one arrival");
-        tr.pending_arrival = true;
-        q.schedule(at, FleetEvent::Arrival { tenant: t });
-    }
-    for (i, (_, f)) in scope.failures.iter().enumerate() {
-        q.schedule(f.at_ms, FleetEvent::Failure { index: i });
-    }
-    if let Some(a) = &spec.autoscale {
-        q.schedule(a.interval_ms, FleetEvent::Autoscale);
-    }
-
-    let mut timeline = vec![sample_now(0.0, &trs, &hosts)];
-    let mut fail_samples: Vec<(usize, ReplicaSample)> = Vec::new();
-    let mut events_processed = 0u64;
-    // Per-event-type tallies for the engine profile; see EVENT_NAMES.
-    let mut counts = [0u64; 10];
-    let mut failures_processed = 0usize;
-
-    while let Some((now, event)) = q.pop() {
-        events_processed += 1;
-        if let Some(m) = tel.metrics.as_mut() {
-            if m.due(now) {
-                let t = m.advance(now);
-                sample_metrics(m, t, now, &trs, &hosts);
-            }
-        }
-        if let Some(mon) = tel.monitor.as_mut() {
-            if mon.due(now) {
-                let t = mon.advance(now);
-                fleet_gauges(now, &trs, &hosts, &mut |name, v| mon.record(&name, v));
-                mon.close_sample(t);
-            }
-        }
+    let mut st = FleetState::new(spec, tenants, cfg, tel, scope);
+    while let Some((now, event)) = st.q.pop() {
+        st.tel
+            .sample(now, |emit| fleet_gauges(now, &st.trs, &st.hosts, emit));
         match event {
-            FleetEvent::Arrival { tenant } => {
-                counts[0] += 1;
-                trs[tenant].pending_arrival = false;
-                // Graceful degradation (opt-in): a tripped brownout
-                // controller rejects the lowest-priority admissions at
-                // the front door, before any routing work.
-                if brownout
-                    .as_ref()
-                    .is_some_and(|b| b.sheds(tenant, trs[tenant].spec.tenant.priority))
-                {
-                    if let Some(at) = trs[tenant].gen.next_arrival_ms(now) {
-                        trs[tenant].pending_arrival = true;
-                        q.schedule(at, FleetEvent::Arrival { tenant });
-                    }
-                    trs[tenant].shed += 1;
-                    if let Some(p) = fe_probe.as_mut() {
-                        p.instant("fleet", "shed", now);
-                    }
-                    if let Some(l) = tel.requests.as_mut() {
-                        l.note_shed(&trs[tenant].spec.tenant.name, now);
-                    }
-                    // The shed may have been the tenant's last
-                    // undelivered request: flush now-drained replicas.
-                    for h in maybe_mark_drained(&mut hosts, &mut trs, tenant, usize::MAX) {
-                        try_dispatch_host(&mut q, &mut hosts, &mut trs, h, now);
-                    }
-                    continue;
-                }
-                let picked = pick_replica(&mut trs, &hosts, spec, tenant);
-                // Schedule the next arrival before delivering, so the
-                // zero-hop path makes schedule calls in exactly
-                // tpu_serve::run's order (next arrival, then timer
-                // re-arm inside the delivery tail).
-                if let Some(at) = trs[tenant].gen.next_arrival_ms(now) {
-                    trs[tenant].pending_arrival = true;
-                    q.schedule(at, FleetEvent::Arrival { tenant });
-                }
-                match picked {
-                    Some(replica) => {
-                        // Hedging (opt-in): arm the tied-copy timer at
-                        // the delay the recent completion tail implies,
-                        // measured past the hop so the primary is
-                        // always delivered before the hedge can fire.
-                        if let Some(delay) = hedge_delay(&mut trs[tenant]) {
-                            let hop = trs[tenant].hop_ms;
-                            let rt = trs[tenant].retry_rt.as_mut().expect("hedge implies policy");
-                            rt.hedge_pending
-                                .insert(now.to_bits(), HedgeTie::Pending { primary: replica });
-                            q.schedule(
-                                now + hop + delay,
-                                FleetEvent::HedgeFire { tenant, ts: now },
-                            );
-                        }
-                        deliver_or_hop(&mut q, &mut hosts, &mut trs, tenant, replica, now, now);
-                    }
-                    None => {
-                        // Every replica is down: park the request; it
-                        // re-routes on recovery or scale-up.
-                        if let Some(p) = fe_probe.as_mut() {
-                            p.instant("fleet", "park", now);
-                        }
-                        trs[tenant].parked.push_back(now);
-                    }
-                }
-            }
+            FleetEvent::Arrival { tenant } => st.on_arrival(tenant, now),
             FleetEvent::Deliver {
                 tenant,
                 replica,
                 arrived_ms,
-            } => {
-                counts[1] += 1;
-                trs[tenant].in_hop -= 1;
-                let (host, slot) = {
-                    let r = &trs[tenant].replicas[replica];
-                    (r.host, r.slot)
-                };
-                if hosts[host].healthy {
-                    hosts[host].core.enqueue(slot, arrived_ms);
-                    hosts[host].events += 1;
-                    finish_delivery(&mut q, &mut hosts, &mut trs, tenant, host, slot, now);
-                } else {
-                    // The host crashed while the request was in the
-                    // hop: retry it elsewhere at its original arrival
-                    // time. A mid-hop request can't be tied yet, so
-                    // any hedge entry is still pending — discard it
-                    // (retries are never hedged).
-                    let o = trs[tenant].replicas[replica].outstanding;
-                    set_outstanding(&mut trs, &hosts, tenant, replica, o - 1);
-                    maybe_retire(&mut hosts, &mut trs, tenant, replica);
-                    if let Some(rt) = trs[tenant].retry_rt.as_mut() {
-                        rt.hedge_pending.remove(&arrived_ms.to_bits());
-                    }
-                    if retry_or_drop(
-                        &mut q,
-                        &mut hosts,
-                        &mut trs,
-                        spec,
-                        tenant,
-                        arrived_ms,
-                        now,
-                        &mut fe_probe,
-                        tel,
-                        &mut brownout,
-                    ) {
-                        for h in maybe_mark_drained(&mut hosts, &mut trs, tenant, usize::MAX) {
-                            try_dispatch_host(&mut q, &mut hosts, &mut trs, h, now);
-                        }
-                    }
+            } => st.on_deliver(tenant, replica, arrived_ms, now),
+            FleetEvent::Host { host, epoch, event } => st.on_host(host, epoch, event, now),
+            FleetEvent::Autoscale => st.on_autoscale(now),
+            FleetEvent::Failure { index } => st.on_failure(index, now),
+            FleetEvent::Retry { tenant, ts } => st.on_retry(tenant, ts, now),
+            FleetEvent::HedgeFire { tenant, ts } => st.on_hedge_fire(tenant, ts, now),
+        }
+    }
+    st.finish()
+}
+
+/// One scope's simulation state. All seeds, model identities, and
+/// probe labels use **global** ids via the scope mapping, so a
+/// component's sub-run replays exactly the global run restricted to
+/// that component.
+struct FleetState<'a> {
+    spec: &'a FleetSpec,
+    scope: &'a Scope,
+    tel: &'a mut RunTelemetry,
+    q: EventQueue<FleetEvent>,
+    hosts: Vec<HostRt>,
+    trs: Vec<TenantRt>,
+    /// Graceful degradation (opt-in): one brownout controller per
+    /// placement-connected component sheds the lowest-priority
+    /// admissions while its component's SLO burn stays high.
+    brownout: Option<BrownoutCtl>,
+    /// The front end's own trace track (pid = host count) for
+    /// fleet-level instants: retries, parks, scale decisions, faults.
+    fe_probe: Option<HostProbe>,
+    /// Replica-count samples so far (see [`ScopedRun::timeline`]).
+    timeline: Vec<ReplicaSample>,
+    /// See [`ScopedRun::fail_samples`].
+    fail_samples: Vec<(usize, ReplicaSample)>,
+    failures_processed: usize,
+    /// Events popped, per [`EventKind`].
+    counts: [u64; EventKind::NAMES.len()],
+}
+
+impl<'a> FleetState<'a> {
+    /// Every replica of `scope.plan` placed, serving, and in its
+    /// tenant's indexes with nothing outstanding; each tenant's first
+    /// arrival, the failure schedule, and the first autoscale tick
+    /// queued.
+    fn new(
+        spec: &'a FleetSpec,
+        tenants: &[FleetTenantSpec],
+        cfg: &TpuConfig,
+        tel: &'a mut RunTelemetry,
+        scope: &'a Scope,
+    ) -> Self {
+        let mut hosts: Vec<HostRt> = scope
+            .hosts
+            .iter()
+            .map(|&gh| HostRt::new(spec, gh, tel))
+            .collect();
+        let trs: Vec<TenantRt> = scope
+            .tenants
+            .iter()
+            .enumerate()
+            .map(|(t, &gt)| {
+                let mut tr = TenantRt::new(spec, cfg, &tenants[gt], gt);
+                for &host in &scope.plan[t] {
+                    tr.place_replica(t, host, &mut hosts);
+                }
+                tr
+            })
+            .collect();
+        let fe_probe = tel
+            .tracer
+            .is_some()
+            .then(|| HostProbe::new(spec.hosts.len() as u32, "front-end", 0));
+        let mut st = FleetState {
+            spec,
+            scope,
+            tel,
+            q: EventQueue::new(),
+            brownout: spec
+                .brownout
+                .map(|b| BrownoutCtl::new(b, &scope.plan, hosts.len())),
+            hosts,
+            trs,
+            fe_probe,
+            timeline: Vec::new(),
+            fail_samples: Vec::new(),
+            failures_processed: 0,
+            counts: [0; EventKind::NAMES.len()],
+        };
+        for t in 0..st.trs.len() {
+            let first = st.schedule_next_arrival(t, 0.0);
+            assert!(first, "a source emits at least one arrival");
+        }
+        for (i, (_, f)) in scope.failures.iter().enumerate() {
+            st.q.schedule(f.at_ms, FleetEvent::Failure { index: i });
+        }
+        if let Some(a) = &spec.autoscale {
+            st.q.schedule(a.interval_ms, FleetEvent::Autoscale);
+        }
+        let sample = st.sample_now(0.0);
+        st.timeline.push(sample);
+        st
+    }
+
+    fn tally(&mut self, kind: EventKind) {
+        self.counts[kind as usize] += 1;
+    }
+
+    /// Mark a fleet-level instant on the front-end trace track.
+    fn note(&mut self, what: &str, now: f64) {
+        if let Some(p) = self.fe_probe.as_mut() {
+            p.instant("fleet", what, now);
+        }
+    }
+
+    /// A front-end arrival: shed under a tripped brownout, else route it
+    /// (arming the hedge timer), or park it when every replica is down.
+    fn on_arrival(&mut self, tenant: usize, now: f64) {
+        self.tally(EventKind::Arrival);
+        self.trs[tenant].pending_arrival = false;
+        // Graceful degradation (opt-in): a tripped brownout controller
+        // rejects the lowest-priority admissions at the front door,
+        // before any routing work.
+        let priority = self.trs[tenant].spec.tenant.priority;
+        if self
+            .brownout
+            .as_ref()
+            .is_some_and(|b| b.sheds(tenant, priority))
+        {
+            self.schedule_next_arrival(tenant, now);
+            self.trs[tenant].shed += 1;
+            self.note("shed", now);
+            if let Some(l) = self.tel.requests.as_mut() {
+                l.note_shed(&self.trs[tenant].spec.tenant.name, now);
+            }
+            // The shed may have been the tenant's last undelivered
+            // request: flush now-drained replicas.
+            self.flush_if_drained(tenant, now);
+            return;
+        }
+        let picked = self.pick_replica(tenant);
+        // Schedule the next arrival before delivering, so the zero-hop
+        // path makes schedule calls in exactly tpu_serve::run's order
+        // (next arrival, then timer re-arm inside the delivery tail).
+        self.schedule_next_arrival(tenant, now);
+        let Some(replica) = picked else {
+            // Every replica is down: park the request; it re-routes on
+            // recovery or scale-up.
+            self.note("park", now);
+            self.trs[tenant].parked.push_back(now);
+            return;
+        };
+        // Hedging (opt-in): arm the tied-copy timer at the delay the
+        // recent completion tail implies, measured past the hop so the
+        // primary is always delivered before the hedge can fire.
+        if let Some(delay) = self.trs[tenant].hedge_delay() {
+            let tr = &mut self.trs[tenant];
+            let rt = tr.retry_rt.as_mut().expect("hedge implies policy");
+            rt.hedge_pending
+                .insert(now.to_bits(), HedgeTie::Pending { primary: replica });
+            self.q.schedule(
+                now + tr.hop_ms + delay,
+                FleetEvent::HedgeFire { tenant, ts: now },
+            );
+        }
+        self.deliver_or_hop(tenant, replica, now, now);
+    }
+
+    /// Queue the tenant's next front-end arrival, if its source has one
+    /// left; returns whether it did.
+    fn schedule_next_arrival(&mut self, tenant: usize, now: f64) -> bool {
+        let Some(at) = self.trs[tenant].gen.next_arrival_ms(now) else {
+            return false;
+        };
+        self.trs[tenant].pending_arrival = true;
+        self.q.schedule(at, FleetEvent::Arrival { tenant });
+        true
+    }
+
+    /// A routed request reaches its replica after the hop. If the host
+    /// crashed meanwhile, retry it elsewhere at its original arrival
+    /// time `ts`.
+    fn on_deliver(&mut self, tenant: usize, replica: usize, ts: f64, now: f64) {
+        self.tally(EventKind::Deliver);
+        self.trs[tenant].in_hop -= 1;
+        if self.hosts[self.trs[tenant].replicas[replica].host].healthy {
+            self.enqueue(tenant, replica, ts, now);
+            return;
+        }
+        // A mid-hop request can't be tied yet, so any hedge entry is
+        // still pending — discard it (retries are never hedged).
+        self.release(tenant, replica, 1);
+        if let Some(rt) = self.trs[tenant].retry_rt.as_mut() {
+            rt.hedge_pending.remove(&ts.to_bits());
+        }
+        self.retry_or_drop(tenant, ts, now);
+    }
+
+    /// A host-internal event — batching timer, weight-swap promotion,
+    /// or die completion — then a dispatch pass. Events scheduled
+    /// before the host's last crash are stale.
+    fn on_host(&mut self, host: usize, epoch: u32, event: HostEvent, now: f64) {
+        if epoch != self.hosts[host].epoch {
+            self.tally(EventKind::StaleHost);
+            return;
+        }
+        self.hosts[host].events += 1;
+        match event {
+            HostEvent::Timer { slot, generation } => {
+                self.tally(EventKind::Timer);
+                if !self.hosts[host].core.on_timer(slot, generation) {
+                    return; // stale timer; the queue changed
                 }
             }
-            FleetEvent::Host { host, epoch, event } => {
-                if epoch != hosts[host].epoch {
-                    counts[5] += 1;
-                    continue; // scheduled before a crash; stale
-                }
-                hosts[host].events += 1;
-                match event {
-                    HostEvent::Timer { slot, generation } => {
-                        counts[2] += 1;
-                        if !hosts[host].core.on_timer(slot, generation) {
-                            continue; // stale timer; the queue changed
-                        }
-                    }
-                    HostEvent::WeightSwap { die } => {
-                        counts[3] += 1;
-                        // Bookkeeping only: the die's pending model
-                        // becomes active. No capacity changed (the die
-                        // stays busy until its DieFree), so skip the
-                        // dispatch pass — but the promotion cooled the
-                        // die's previous model, so refresh warmth.
-                        hosts[host].core.on_weight_swap(die);
-                        refresh_host_warmth(&mut trs, &mut hosts, host);
-                        continue;
-                    }
-                    HostEvent::DieFree { die, generation } => {
-                        counts[4] += 1;
-                        if let Some(done) = hosts[host].core.on_die_free(die, generation) {
-                            let tenant = hosts[host].slot_owner[done.slot];
-                            let replica = hosts[host].slot_replica[done.slot];
-                            let o = trs[tenant].replicas[replica].outstanding;
-                            set_outstanding(
-                                &mut trs,
-                                &hosts,
-                                tenant,
-                                replica,
-                                o - done.completions,
-                            );
-                            maybe_retire(&mut hosts, &mut trs, tenant, replica);
-                            // The batch's latencies were just committed
-                            // at the end of the slot's buffer.
-                            let from = hosts[host].core.latency_count(done.slot) - done.completions;
-                            observe_completions(
-                                &mut trs,
-                                &hosts,
-                                &mut brownout,
-                                &mut fe_probe,
-                                tenant,
-                                host,
-                                done.slot,
-                                from,
-                                now,
-                            );
-                            if let Some(m) = tel.metrics.as_mut() {
-                                // Feed them to the tenant sketch too.
-                                let series = format!("latency/{}", trs[tenant].spec.tenant.name);
-                                for l in hosts[host].core.slot_latencies_from(done.slot, from) {
-                                    m.observe(&series, l);
-                                }
-                            }
-                            if let Some(mon) = tel.monitor.as_mut() {
-                                let spec = &trs[tenant].spec.tenant;
-                                for l in hosts[host].core.slot_latencies_from(done.slot, from) {
-                                    mon.observe_latency(&spec.name, l, spec.slo_ms);
-                                }
-                                mon.observe_service(
-                                    &spec.name,
-                                    host,
-                                    die,
-                                    done.end_ms - done.start_ms - done.swap_ms,
-                                    done.completions,
-                                );
-                            }
-                        }
-                    }
-                }
-                try_dispatch_host(&mut q, &mut hosts, &mut trs, host, now);
+            HostEvent::WeightSwap { die } => {
+                self.tally(EventKind::WeightSwap);
+                // Bookkeeping only: the die's pending model becomes
+                // active. No capacity changed (the die stays busy until
+                // its DieFree), so skip the dispatch pass — but the
+                // promotion cooled the die's previous model, so refresh
+                // warmth.
+                self.hosts[host].core.on_weight_swap(die);
+                self.refresh_host_warmth(host);
+                return;
             }
-            FleetEvent::Autoscale => {
-                counts[6] += 1;
-                let cfg_a = spec.autoscale.as_ref().expect("tick implies config");
-                // Serving counts before the pass, so scale decisions
-                // can be traced as front-end instants afterwards.
-                let before: Option<Vec<usize>> = fe_probe
-                    .as_ref()
-                    .map(|_| trs.iter().map(|tr| tr.serving_replicas(&hosts)).collect());
-                for t in 0..trs.len() {
-                    autoscale_tenant(&mut q, &mut hosts, &mut trs, spec, t, now, cfg_a);
-                }
-                // Rescue path: parked requests mean every replica of a
-                // tenant is unreachable — effectively infinite queue
-                // depth — so try to place a replica regardless of the
-                // window signals or cooldown. If nothing can be placed
-                // and no failure event is still pending, the fleet can
-                // never serve them: fail loudly instead of ticking
-                // forever.
-                for t in 0..trs.len() {
-                    if trs[t].parked.is_empty() {
-                        continue;
-                    }
-                    unpark(&mut q, &mut hosts, &mut trs, spec, t, now);
-                    if trs[t].parked.is_empty() {
-                        continue;
-                    }
-                    let rescued = try_scale_up(&mut q, &mut hosts, &mut trs, spec, t, now);
-                    if !rescued && failures_processed == scope.failures.len() {
-                        panic!(
-                            "tenant {t} ({}) has {} parked requests, no healthy \
-                             replica, no pending recovery, and nowhere to place a \
-                             new replica — the fleet is unservable",
-                            trs[t].spec.tenant.name,
-                            trs[t].parked.len()
-                        );
-                    }
-                }
-                if let Some(p) = fe_probe.as_mut() {
-                    let before = before.expect("snapshot taken when tracing");
-                    for (t, tr) in trs.iter().enumerate() {
-                        let after = tr.serving_replicas(&hosts);
-                        if after > before[t] {
-                            p.instant("scale-up", &tr.spec.tenant.name, now);
-                        } else if after < before[t] {
-                            p.instant("scale-down", &tr.spec.tenant.name, now);
-                        }
-                    }
-                }
-                timeline.push(sample_now(now, &trs, &hosts));
-                let active = trs.iter().any(|tr| {
-                    tr.undelivered() > 0
-                        || tr.in_hop > 0
-                        || tr.displaced_pending > 0
-                        || !tr.parked.is_empty()
-                        || tr.replicas.iter().any(|r| r.outstanding > 0)
-                });
-                if active {
-                    q.schedule(now + cfg_a.interval_ms, FleetEvent::Autoscale);
+            HostEvent::DieFree { die, generation } => {
+                self.tally(EventKind::DieFree);
+                if let Some(done) = self.hosts[host].core.on_die_free(die, generation) {
+                    self.complete_batch(host, die, done, now);
                 }
             }
-            FleetEvent::Failure { index } => {
-                counts[7] += 1;
-                failures_processed += 1;
-                let (fail_id, f) = scope.failures[index];
-                match f.kind {
-                    FailureKind::Crash => {
-                        if hosts[f.host].healthy {
-                            // Serving replicas on this host leave the
-                            // routing index before the health flip
-                            // (they are already out if partitioned).
-                            if !hosts[f.host].partitioned {
-                                reindex_host_replicas(&mut trs, &hosts, f.host, false);
-                            }
-                            hosts[f.host].healthy = false;
-                            hosts[f.host].epoch += 1;
-                            hosts[f.host].crashes += 1;
-                            let displaced = hosts[f.host].core.crash(now);
-                            // The wipe bumped the weights epoch; the
-                            // replicas are already out of every index
-                            // and re-derive warmth at recover, so just
-                            // sync the cache marker.
-                            hosts[f.host].warm_epoch = hosts[f.host].core.weights_epoch();
-                            // Two phases: first count every displaced
-                            // request as pending so no re-delivery can
-                            // prematurely mark its tenant drained (and
-                            // flush partial batches) while siblings are
-                            // still waiting to be re-routed.
-                            let mut requeue: Vec<(usize, f64)> = Vec::new();
-                            for (slot, arrivals) in displaced {
-                                let tenant = hosts[f.host].slot_owner[slot];
-                                let replica = hosts[f.host].slot_replica[slot];
-                                let o = trs[tenant].replicas[replica].outstanding;
-                                set_outstanding(
-                                    &mut trs,
-                                    &hosts,
-                                    tenant,
-                                    replica,
-                                    o - arrivals.len(),
-                                );
-                                maybe_retire(&mut hosts, &mut trs, tenant, replica);
-                                trs[tenant].displaced_pending += arrivals.len();
-                                requeue.extend(arrivals.into_iter().map(|ts| (tenant, ts)));
-                            }
-                            for (tenant, ts) in requeue {
-                                trs[tenant].displaced_pending -= 1;
-                                // Hedge interplay: a displaced copy's
-                                // tie is broken. A still-queued sibling
-                                // on another host serves the request
-                                // alone (no retry); a sole pending copy
-                                // falls through to the retry layer.
-                                let tie = trs[tenant]
-                                    .retry_rt
-                                    .as_mut()
-                                    .and_then(|rt| rt.hedge_pending.remove(&ts.to_bits()));
-                                if matches!(tie, Some(HedgeTie::Tied { .. })) {
-                                    continue;
-                                }
-                                if retry_or_drop(
-                                    &mut q,
-                                    &mut hosts,
-                                    &mut trs,
-                                    spec,
-                                    tenant,
-                                    ts,
-                                    now,
-                                    &mut fe_probe,
-                                    tel,
-                                    &mut brownout,
-                                ) {
-                                    for h in
-                                        maybe_mark_drained(&mut hosts, &mut trs, tenant, usize::MAX)
-                                    {
-                                        try_dispatch_host(&mut q, &mut hosts, &mut trs, h, now);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    FailureKind::Recover => {
-                        if !hosts[f.host].healthy {
-                            if let Some(p) = fe_probe.as_mut() {
-                                p.instant("fault", &format!("recover host{}", f.host), now);
-                            }
-                            hosts[f.host].healthy = true;
-                            // A recovery behind a partition restores
-                            // the core but not routability; the
-                            // reinsert and unpark happen at rejoin.
-                            if !hosts[f.host].partitioned {
-                                reindex_host_replicas(&mut trs, &hosts, f.host, true);
-                                for t in 0..trs.len() {
-                                    unpark(&mut q, &mut hosts, &mut trs, spec, t, now);
-                                }
-                            }
-                        }
-                    }
-                    FailureKind::SlowStart { factor } => {
-                        hosts[f.host].core.set_slow_factor(factor);
-                    }
-                    FailureKind::SlowEnd => {
-                        hosts[f.host].core.set_slow_factor(1.0);
-                    }
-                    FailureKind::PartitionStart => {
-                        if !hosts[f.host].partitioned {
-                            if let Some(p) = fe_probe.as_mut() {
-                                p.instant("fault", &format!("partition host{}", f.host), now);
-                            }
-                            // The host looks dead to the router but
-                            // keeps draining its queues; a crashed
-                            // host's replicas are already out of every
-                            // index.
-                            if hosts[f.host].healthy {
-                                reindex_host_replicas(&mut trs, &hosts, f.host, false);
-                            }
-                            hosts[f.host].partitioned = true;
-                        }
-                    }
-                    FailureKind::PartitionEnd => {
-                        if hosts[f.host].partitioned {
-                            if let Some(p) = fe_probe.as_mut() {
-                                p.instant("fault", &format!("rejoin host{}", f.host), now);
-                            }
-                            hosts[f.host].partitioned = false;
-                            // Rejoin with whatever stale queues built
-                            // up while unreachable; routable again iff
-                            // the host is also healthy.
-                            if hosts[f.host].healthy {
-                                reindex_host_replicas(&mut trs, &hosts, f.host, true);
-                                for t in 0..trs.len() {
-                                    unpark(&mut q, &mut hosts, &mut trs, spec, t, now);
-                                }
-                            }
-                        }
-                    }
-                    FailureKind::DieFail { die } => {
-                        // Partial degradation: the die leaves the pool
-                        // whether or not the host is up (the outage
-                        // survives a crash/recover cycle); a displaced
-                        // in-flight batch re-enters through the retry
-                        // layer. In-flight requests resolved any hedge
-                        // ties at dispatch, so no tie check is needed.
-                        if let Some((slot, arrivals)) = hosts[f.host].core.fail_die(die, now) {
-                            let tenant = hosts[f.host].slot_owner[slot];
-                            let replica = hosts[f.host].slot_replica[slot];
-                            let o = trs[tenant].replicas[replica].outstanding;
-                            set_outstanding(&mut trs, &hosts, tenant, replica, o - arrivals.len());
-                            maybe_retire(&mut hosts, &mut trs, tenant, replica);
-                            trs[tenant].displaced_pending += arrivals.len();
-                            for ts in arrivals {
-                                trs[tenant].displaced_pending -= 1;
-                                if retry_or_drop(
-                                    &mut q,
-                                    &mut hosts,
-                                    &mut trs,
-                                    spec,
-                                    tenant,
-                                    ts,
-                                    now,
-                                    &mut fe_probe,
-                                    tel,
-                                    &mut brownout,
-                                ) {
-                                    for h in
-                                        maybe_mark_drained(&mut hosts, &mut trs, tenant, usize::MAX)
-                                    {
-                                        try_dispatch_host(&mut q, &mut hosts, &mut trs, h, now);
-                                    }
-                                }
-                            }
-                        }
-                        // The weight wipe cooled the die; re-derive the
-                        // cached warmth for swap-affinity routing.
-                        refresh_host_warmth(&mut trs, &mut hosts, f.host);
-                    }
-                    FailureKind::DieRecover { die } => {
-                        hosts[f.host].core.recover_die(die);
-                        if hosts[f.host].healthy {
-                            // The pool grew: queued work may dispatch.
-                            try_dispatch_host(&mut q, &mut hosts, &mut trs, f.host, now);
-                        }
-                    }
-                    FailureKind::DieSlow { die, factor } => {
-                        hosts[f.host].core.set_die_slow(die, factor);
-                    }
-                }
-                let sample = sample_now(now, &trs, &hosts);
-                fail_samples.push((fail_id, sample.clone()));
-                timeline.push(sample);
+        }
+        self.try_dispatch_host(host, now);
+    }
+
+    /// A batch finished on `(host, die)`: release its requests, then
+    /// feed its just-committed latencies to the hedge window, the
+    /// brownout controller, and the instruments.
+    fn complete_batch(&mut self, host: usize, die: usize, done: CompletedBatch, now: f64) {
+        let tenant = self.hosts[host].slot_owner[done.slot];
+        let replica = self.hosts[host].slot_replica[done.slot];
+        self.release(tenant, replica, done.completions);
+        // The batch's latencies were just committed at the end of the
+        // slot's buffer.
+        let core = &self.hosts[host].core;
+        let lats =
+            core.slot_latencies_from(done.slot, core.latency_count(done.slot) - done.completions);
+        let tr = &mut self.trs[tenant];
+        tr.observe_hedge_window(lats);
+        let spec = &tr.spec.tenant;
+        if let Some(b) = self.brownout.as_mut() {
+            for &l in lats {
+                b.observe(tenant, l > spec.slo_ms, now, &mut self.fe_probe);
             }
-            FleetEvent::Retry { tenant, ts } => {
-                counts[8] += 1;
-                // The backoff elapsed: re-route at the original
-                // arrival time (or park if every replica is down).
-                trs[tenant].displaced_pending -= 1;
-                route_request(&mut q, &mut hosts, &mut trs, spec, tenant, ts, now);
+        }
+        let service_ms = done.end_ms - done.start_ms - done.swap_ms;
+        self.tel
+            .observe_batch(&spec.name, spec.slo_ms, host, die, lats, service_ms);
+    }
+
+    /// Autoscaler tick: evaluate every tenant, rescue parked requests,
+    /// sample the replica counts, and re-arm while work remains.
+    fn on_autoscale(&mut self, now: f64) {
+        self.tally(EventKind::Autoscale);
+        let cfg = self.spec.autoscale.as_ref().expect("tick implies config");
+        // Serving counts before the pass, so scale decisions can be
+        // traced as front-end instants afterwards.
+        let before = self.fe_probe.is_some().then(|| self.sample_now(now));
+        for t in 0..self.trs.len() {
+            self.autoscale_tenant(t, now, cfg);
+        }
+        // Rescue path: parked requests mean every replica of a tenant
+        // is unreachable — effectively infinite queue depth — so try to
+        // place a replica regardless of the window signals or cooldown.
+        // If nothing can be placed and no failure event is still
+        // pending, the fleet can never serve them: fail loudly instead
+        // of ticking forever.
+        for t in 0..self.trs.len() {
+            self.unpark(t, now);
+            if self.trs[t].parked.is_empty() {
+                continue;
             }
-            FleetEvent::HedgeFire { tenant, ts } => {
-                counts[9] += 1;
-                let bits = ts.to_bits();
-                // Still pending? Dispatched or displaced requests had
-                // their entries removed; this fire is then stale.
-                let pending = match trs[tenant]
-                    .retry_rt
-                    .as_ref()
-                    .and_then(|rt| rt.hedge_pending.get(&bits))
-                {
-                    Some(&HedgeTie::Pending { primary }) => Some(primary),
-                    _ => None,
-                };
-                let Some(primary) = pending else { continue };
-                // Tie to the least-outstanding serving replica other
-                // than the one still holding the request.
-                let second = trs[tenant]
-                    .replicas
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, r)| i != primary && serving(r, &hosts))
-                    .min_by_key(|&(i, r)| (r.outstanding, i))
-                    .map(|(i, _)| i);
-                let rt = trs[tenant].retry_rt.as_mut().expect("fire implies policy");
-                let Some(second) = second else {
-                    // Nowhere to hedge to; the primary stays solo.
-                    rt.hedge_pending.remove(&bits);
-                    continue;
-                };
-                rt.hedge_pending.insert(
-                    bits,
-                    HedgeTie::Tied {
-                        primary,
-                        hedge: second,
-                    },
+            let rescued = self.try_scale_up(t, now);
+            if !rescued && self.failures_processed == self.scope.failures.len() {
+                panic!(
+                    "tenant {t} ({}) has {} parked requests, no healthy \
+                     replica, no pending recovery, and nowhere to place a \
+                     new replica — the fleet is unservable",
+                    self.trs[t].spec.tenant.name,
+                    self.trs[t].parked.len()
                 );
-                trs[tenant].hedges += 1;
-                if let Some(p) = fe_probe.as_mut() {
-                    p.instant("fleet", "hedge", now);
+            }
+        }
+        let sample = self.sample_now(now);
+        if let (Some(p), Some(before)) = (self.fe_probe.as_mut(), before) {
+            let counts = before.replicas.iter().zip(&sample.replicas);
+            for (tr, (b, a)) in self.trs.iter().zip(counts) {
+                if a > b {
+                    p.instant("scale-up", &tr.spec.tenant.name, now);
+                } else if a < b {
+                    p.instant("scale-down", &tr.spec.tenant.name, now);
                 }
-                // The tied copy injects straight into the second
-                // replica's queue (the hedge delay already dominates
-                // the hop) and keeps the original arrival time, so a
-                // hedge win is a real latency win.
-                let o = trs[tenant].replicas[second].outstanding;
-                set_outstanding(&mut trs, &hosts, tenant, second, o + 1);
-                let (host, slot) = {
-                    let r = &trs[tenant].replicas[second];
-                    (r.host, r.slot)
-                };
-                hosts[host].core.enqueue(slot, ts);
-                hosts[host].events += 1;
-                finish_delivery(&mut q, &mut hosts, &mut trs, tenant, host, slot, now);
+            }
+        }
+        self.timeline.push(sample);
+        let active = self.trs.iter().any(|tr| {
+            tr.undelivered() > 0
+                || tr.in_hop > 0
+                || tr.displaced_pending > 0
+                || !tr.parked.is_empty()
+                || tr.replicas.iter().any(|r| r.outstanding > 0)
+        });
+        if active {
+            self.q
+                .schedule(now + cfg.interval_ms, FleetEvent::Autoscale);
+        }
+    }
+
+    /// The `index`-th scheduled failure strikes its host; the replica
+    /// counts are sampled after it.
+    fn on_failure(&mut self, index: usize, now: f64) {
+        self.tally(EventKind::Failure);
+        self.failures_processed += 1;
+        let (fail_id, f) = self.scope.failures[index];
+        let host = f.host;
+        match f.kind {
+            FailureKind::Crash => self.crash(host, now),
+            FailureKind::Recover if !self.hosts[host].healthy => {
+                if let Some(p) = self.fe_probe.as_mut() {
+                    p.instant("fault", &format!("recover host{host}"), now);
+                }
+                self.hosts[host].healthy = true;
+                // A recovery behind a partition restores the core but
+                // not routability; the reinsert and unpark happen at
+                // rejoin.
+                if !self.hosts[host].partitioned {
+                    self.rejoin(host, now);
+                }
+            }
+            FailureKind::SlowStart { factor } => self.hosts[host].core.set_slow_factor(factor),
+            FailureKind::SlowEnd => self.hosts[host].core.set_slow_factor(1.0),
+            FailureKind::PartitionStart if !self.hosts[host].partitioned => {
+                if let Some(p) = self.fe_probe.as_mut() {
+                    p.instant("fault", &format!("partition host{host}"), now);
+                }
+                // The host looks dead to the router but keeps draining
+                // its queues; a crashed host's replicas are already out
+                // of every index.
+                if self.hosts[host].healthy {
+                    self.reindex_host(host, false);
+                }
+                self.hosts[host].partitioned = true;
+            }
+            FailureKind::PartitionEnd if self.hosts[host].partitioned => {
+                if let Some(p) = self.fe_probe.as_mut() {
+                    p.instant("fault", &format!("rejoin host{host}"), now);
+                }
+                self.hosts[host].partitioned = false;
+                // Rejoin with whatever stale queues built up while
+                // unreachable; routable again iff the host is also
+                // healthy.
+                if self.hosts[host].healthy {
+                    self.rejoin(host, now);
+                }
+            }
+            FailureKind::DieFail { die } => {
+                // Partial degradation: the die leaves the pool whether
+                // or not the host is up (the outage survives a
+                // crash/recover cycle); a displaced in-flight batch
+                // re-enters through the retry layer.
+                let displaced = self.hosts[host].core.fail_die(die, now);
+                self.requeue_displaced(host, displaced, now);
+                // The weight wipe cooled the die; re-derive the cached
+                // warmth for swap-affinity routing.
+                self.refresh_host_warmth(host);
+            }
+            FailureKind::DieRecover { die } => {
+                self.hosts[host].core.recover_die(die);
+                if self.hosts[host].healthy {
+                    // The pool grew: queued work may dispatch.
+                    self.try_dispatch_host(host, now);
+                }
+            }
+            FailureKind::DieSlow { die, factor } => {
+                self.hosts[host].core.set_die_slow(die, factor);
+            }
+            // A recovery of a healthy host, a second partition, or a
+            // rejoin of a reachable one changes nothing.
+            FailureKind::Recover | FailureKind::PartitionStart | FailureKind::PartitionEnd => {}
+        }
+        let sample = self.sample_now(now);
+        self.fail_samples.push((fail_id, sample.clone()));
+        self.timeline.push(sample);
+    }
+
+    /// A host crash: its replicas leave the serving index, its epoch
+    /// moves on (staling every event it had scheduled), and the
+    /// requests queued or in flight on it re-enter through the retry
+    /// layer.
+    fn crash(&mut self, host: usize, now: f64) {
+        if !self.hosts[host].healthy {
+            return;
+        }
+        // Serving replicas on this host leave the routing index before
+        // the health flip (they are already out if partitioned).
+        if !self.hosts[host].partitioned {
+            self.reindex_host(host, false);
+        }
+        let h = &mut self.hosts[host];
+        h.healthy = false;
+        h.epoch += 1;
+        h.crashes += 1;
+        let displaced = h.core.crash(now);
+        // The wipe bumped the weights epoch; the replicas are already
+        // out of every index and re-derive warmth at recover, so just
+        // sync the cache marker.
+        h.warm_epoch = h.core.weights_epoch();
+        self.requeue_displaced(host, displaced, now);
+    }
+
+    /// Send the requests a crash or die failure displaced from `host`'s
+    /// slots (`(slot, arrival times)`) back through the retry layer.
+    fn requeue_displaced(
+        &mut self,
+        host: usize,
+        displaced: impl IntoIterator<Item = (usize, Vec<f64>)>,
+        now: f64,
+    ) {
+        // Two phases: first count every displaced request as pending so
+        // no re-delivery can prematurely mark its tenant drained (and
+        // flush partial batches) while siblings are still waiting to be
+        // re-routed.
+        let mut requeue: Vec<(usize, f64)> = Vec::new();
+        for (slot, arrivals) in displaced {
+            let tenant = self.hosts[host].slot_owner[slot];
+            let replica = self.hosts[host].slot_replica[slot];
+            self.release(tenant, replica, arrivals.len());
+            self.trs[tenant].displaced_pending += arrivals.len();
+            requeue.extend(arrivals.into_iter().map(|ts| (tenant, ts)));
+        }
+        for (tenant, ts) in requeue {
+            self.trs[tenant].displaced_pending -= 1;
+            // Hedge interplay: a displaced copy's tie is broken. A
+            // still-queued sibling on another host serves the request
+            // alone (no retry); a sole pending copy falls through to the
+            // retry layer. In-flight requests resolved their ties at
+            // dispatch, so they have no entry.
+            let tie = self.trs[tenant]
+                .retry_rt
+                .as_mut()
+                .and_then(|rt| rt.hedge_pending.remove(&ts.to_bits()));
+            if !matches!(tie, Some(HedgeTie::Tied { .. })) {
+                self.retry_or_drop(tenant, ts, now);
             }
         }
     }
 
-    for (t, tr) in trs.iter().enumerate() {
-        assert!(
-            tr.parked.is_empty(),
-            "tenant {t} ({}) ends with {} unserved parked requests: every \
-             replica stayed down; give the scenario a recovery or capacity",
-            tr.spec.tenant.name,
-            tr.parked.len()
-        );
-        assert!(
-            tr.undelivered() == 0 && tr.in_hop == 0 && tr.displaced_pending == 0,
-            "tenant {t} finished with work left (engine bug)"
-        );
-        let served: usize = tr
+    /// A host became routable again (recovered while reachable, or
+    /// rejoined while healthy): its replicas re-enter the serving
+    /// indexes and parked requests re-route.
+    fn rejoin(&mut self, host: usize, now: f64) {
+        self.reindex_host(host, true);
+        for t in 0..self.trs.len() {
+            self.unpark(t, now);
+        }
+    }
+
+    /// The backoff elapsed: re-route at the original arrival time `ts`
+    /// (or park if every replica is down).
+    fn on_retry(&mut self, tenant: usize, ts: f64, now: f64) {
+        self.tally(EventKind::Retry);
+        self.trs[tenant].displaced_pending -= 1;
+        self.route_request(tenant, ts, now);
+    }
+
+    /// The hedge delay elapsed for the request that arrived at `ts`: if
+    /// it is still pending, tie a copy to the least-outstanding serving
+    /// replica other than the one holding it.
+    fn on_hedge_fire(&mut self, tenant: usize, ts: f64, now: f64) {
+        self.tally(EventKind::HedgeFire);
+        let bits = ts.to_bits();
+        let tr = &mut self.trs[tenant];
+        let rt = tr.retry_rt.as_mut().expect("fire implies policy");
+        // Still pending? Dispatched or displaced requests had their
+        // entries removed; this fire is then stale.
+        let Some(&HedgeTie::Pending { primary }) = rt.hedge_pending.get(&bits) else {
+            return;
+        };
+        let second = tr
             .replicas
             .iter()
-            .map(|r| hosts[r.host].core.latency_count(r.slot))
-            .sum();
-        assert_eq!(
-            served + tr.dropped + tr.shed,
-            tr.spec.tenant.requests,
-            "tenant {t} lost requests (engine bug)"
+            .enumerate()
+            .filter(|&(i, r)| i != primary && serving(r, &self.hosts))
+            .min_by_key(|&(i, r)| (r.outstanding, i))
+            .map(|(i, _)| i);
+        let Some(second) = second else {
+            // Nowhere to hedge to; the primary stays solo.
+            rt.hedge_pending.remove(&bits);
+            return;
+        };
+        rt.hedge_pending.insert(
+            bits,
+            HedgeTie::Tied {
+                primary,
+                hedge: second,
+            },
         );
+        tr.hedges += 1;
+        self.note("hedge", now);
+        // The tied copy injects straight into the second replica's
+        // queue (the hedge delay already dominates the hop) and keeps
+        // the original arrival time, so a hedge win is a real latency
+        // win.
+        let o = self.trs[tenant].replicas[second].outstanding;
+        self.set_outstanding(tenant, second, o + 1);
+        self.enqueue(tenant, second, ts, now);
     }
 
-    let makespan_ms = hosts
-        .iter()
-        .map(|h| h.core.makespan_ms())
-        .fold(0.0, f64::max);
-    // Close the timeline at the makespan, unless the last recorded
-    // sample already covers that instant with the same counts.
-    let last_t = timeline.last().map(|s| s.t_ms).unwrap_or(0.0);
-    let closing = sample_now(makespan_ms.max(last_t), &trs, &hosts);
-    if timeline.last() != Some(&closing) {
-        timeline.push(closing);
-    }
-
-    if let Some(tr) = tel.tracer.as_mut() {
-        for host in hosts.iter_mut() {
-            if let Some(p) = host.core.take_probe() {
-                tr.absorb(p.into_tracer());
-            }
+    /// Check the end state, close the replica timeline at the makespan,
+    /// and hand the instruments their end-of-run data.
+    fn finish(mut self) -> ScopedRun {
+        for (t, tr) in self.trs.iter().enumerate() {
+            assert!(
+                tr.parked.is_empty(),
+                "tenant {t} ({}) ends with {} unserved parked requests: every \
+                 replica stayed down; give the scenario a recovery or capacity",
+                tr.spec.tenant.name,
+                tr.parked.len()
+            );
+            assert!(
+                tr.undelivered() == 0 && tr.in_hop == 0 && tr.displaced_pending == 0,
+                "tenant {t} finished with work left (engine bug)"
+            );
+            let served: usize = tr
+                .replicas
+                .iter()
+                .map(|r| self.hosts[r.host].core.latency_count(r.slot))
+                .sum();
+            assert_eq!(
+                served + tr.dropped + tr.shed,
+                tr.spec.tenant.requests,
+                "tenant {t} lost requests (engine bug)"
+            );
         }
-        if let Some(p) = fe_probe.take() {
-            tr.absorb(p.into_tracer());
-        }
-    }
-    if let Some(log) = tel.requests.as_mut() {
-        for host in hosts.iter_mut() {
-            if let Some(p) = host.core.take_request_probe() {
-                log.absorb(p);
-            }
-        }
-    }
-    if let Some(m) = tel.metrics.as_mut() {
-        // The final partial interval's latency percentiles.
-        m.flush_sketches(makespan_ms);
-    }
-    if let Some(mon) = tel.monitor.as_mut() {
-        mon.finish();
-    }
-    if let Some(p) = tel.profile.as_mut() {
-        const EVENT_NAMES: [&str; 10] = [
-            "arrival",
-            "deliver",
-            "timer",
-            "weight-swap",
-            "die-free",
-            "stale-host",
-            "autoscale",
-            "failure",
-            "retry",
-            "hedge-fire",
-        ];
-        p.event_counts = EVENT_NAMES
+        let makespan_ms = self
+            .hosts
             .iter()
-            .zip(counts)
-            .map(|(n, c)| (n.to_string(), c))
-            .collect();
-        p.wheel = q.wheel_profile();
+            .map(|h| h.core.makespan_ms())
+            .fold(0.0, f64::max);
+        // Close the timeline at the makespan, unless the last recorded
+        // sample already covers that instant with the same counts.
+        let last_t = self.timeline.last().map_or(0.0, |s| s.t_ms);
+        let closing = self.sample_now(makespan_ms.max(last_t));
+        if self.timeline.last() != Some(&closing) {
+            self.timeline.push(closing);
+        }
+        let q = &self.q;
+        self.tel.finish_run(
+            self.hosts.iter_mut().map(|h| h.core.take_probes()),
+            self.fe_probe.take(),
+            makespan_ms,
+            EventKind::NAMES.iter().copied().zip(self.counts),
+            || q.wheel_profile(),
+        );
+        ScopedRun {
+            hosts: self.hosts,
+            trs: self.trs,
+            events_processed: self.counts.iter().sum(),
+            timeline: self.timeline,
+            fail_samples: self.fail_samples,
+            makespan_ms,
+        }
     }
 
-    ScopedRun {
-        hosts,
-        trs,
-        events_processed,
-        timeline,
-        fail_samples,
-        makespan_ms,
+    /// Pick a replica for one request of `tenant`, or `None` when
+    /// nothing is routable. Least-outstanding and swap affinity read the
+    /// delta-maintained indexes — the same minimum as a candidate scan,
+    /// without the per-request O(replicas) walk; the other policies go
+    /// through the reused candidate buffer. Debug builds check every
+    /// indexed pick against the scan over live replica state.
+    fn pick_replica(&mut self, tenant: usize) -> Option<usize> {
+        let tr = &mut self.trs[tenant];
+        let hosts = &self.hosts;
+        match self.spec.router {
+            RouterPolicy::LeastOutstanding => {
+                let pick = tr.index.least();
+                debug_assert_eq!(
+                    pick,
+                    scan_least_outstanding(tr, hosts),
+                    "tenant {}: least-outstanding index pick differs from the scan",
+                    tr.spec.tenant.name
+                );
+                pick
+            }
+            RouterPolicy::SwapAware => {
+                // Swap affinity: prefer warm replicas, then fewest
+                // outstanding, then lowest index. The warm subset falls
+                // back to the full serving index when no replica is warm
+                // — the `(cold, outstanding, replica)` minimum, since
+                // warm always beats cold.
+                let pick = tr.warm.least().or_else(|| tr.index.least());
+                debug_assert_eq!(
+                    pick,
+                    scan_swap_aware(tr, hosts),
+                    "tenant {}: swap-aware index pick differs from the scan",
+                    tr.spec.tenant.name
+                );
+                pick
+            }
+            policy => {
+                tr.fill_candidates(hosts);
+                tr.router.pick(policy, tenant, &tr.cand_buf)
+            }
+        }
+    }
+
+    /// Route one request (fresh, retried, or unparked) at time `now`,
+    /// keeping its original arrival timestamp `ts` for latency
+    /// accounting.
+    fn route_request(&mut self, tenant: usize, ts: f64, now: f64) {
+        match self.pick_replica(tenant) {
+            None => self.trs[tenant].parked.push_back(ts),
+            Some(replica) => self.deliver_or_hop(tenant, replica, ts, now),
+        }
+    }
+
+    /// Hand one routed request (front-end arrival time `ts`) to
+    /// `replica`: either schedule the network hop or deliver straight
+    /// into the host queue. The single delivery path shared by fresh
+    /// arrivals, crash retries, and unparked requests.
+    fn deliver_or_hop(&mut self, tenant: usize, replica: usize, ts: f64, now: f64) {
+        let o = self.trs[tenant].replicas[replica].outstanding;
+        self.set_outstanding(tenant, replica, o + 1);
+        let hop = self.trs[tenant].hop_ms;
+        if hop > 0.0 {
+            self.trs[tenant].in_hop += 1;
+            self.q.schedule(
+                now + hop,
+                FleetEvent::Deliver {
+                    tenant,
+                    replica,
+                    arrived_ms: ts,
+                },
+            );
+        } else {
+            self.enqueue(tenant, replica, ts, now);
+        }
+    }
+
+    /// Queue a request (front-end arrival time `ts`) on `replica`'s
+    /// host, then run the delivery tail: check whether the tenant just
+    /// became fully delivered (flush its other replicas), re-arm the
+    /// receiving slot's timer, and dispatch — in exactly the order
+    /// `tpu_serve::run` uses, so the 1-host fleet replays it bit for
+    /// bit.
+    fn enqueue(&mut self, tenant: usize, replica: usize, ts: f64, now: f64) {
+        let r = &self.trs[tenant].replicas[replica];
+        let (host, slot) = (r.host, r.slot);
+        self.hosts[host].core.enqueue(slot, ts);
+        self.hosts[host].events += 1;
+        let flush_hosts = self.mark_drained(tenant, host);
+        {
+            let (core, mut sched) = self.host_core(host);
+            core.after_arrival(slot, now, &mut sched);
+        }
+        self.try_dispatch_host(host, now);
+        for h in flush_hosts {
+            self.try_dispatch_host(h, now);
+        }
+    }
+
+    /// Split borrow: host `host`'s core, and a scheduler that queues the
+    /// core's events tagged with the host's current epoch. Callers
+    /// scope the pair in a block, since the opaque scheduler holds the
+    /// borrow until it drops.
+    fn host_core(&mut self, host: usize) -> (&mut HostCore, impl FnMut(f64, HostEvent) + '_) {
+        let h = &mut self.hosts[host];
+        let (epoch, q) = (h.epoch, &mut self.q);
+        let sched = move |at, event| q.schedule(at, FleetEvent::Host { host, epoch, event });
+        (&mut h.core, sched)
+    }
+
+    /// Mark the tenant drained once every request has been generated
+    /// and delivered: all live replicas flush partial batches. Returns
+    /// the *other* hosts (not `delivered_host`) that need a dispatch
+    /// pass; the caller runs them after its own, preserving single-host
+    /// event order.
+    fn mark_drained(&mut self, tenant: usize, delivered_host: usize) -> Vec<usize> {
+        let tr = &mut self.trs[tenant];
+        // Cheap flags first: `pending_arrival` is true for nearly every
+        // delivery mid-run, so the virtual `remaining()` call on the
+        // boxed arrival source is skipped on the hot path.
+        if tr.drained
+            || tr.pending_arrival
+            || tr.in_hop > 0
+            || tr.displaced_pending > 0
+            || !tr.parked.is_empty()
+            || tr.gen.remaining() > 0
+        {
+            return Vec::new();
+        }
+        tr.drained = true;
+        let mut flush = Vec::new();
+        for r in &tr.replicas {
+            if r.live {
+                self.hosts[r.host].core.set_draining(r.slot, true);
+                if r.host != delivered_host && !flush.contains(&r.host) {
+                    flush.push(r.host);
+                }
+            }
+        }
+        flush
+    }
+
+    /// Flush the tenant's replicas if a request leaving without a
+    /// delivery (shed or dropped) was its last piece of work.
+    fn flush_if_drained(&mut self, tenant: usize, now: f64) {
+        for h in self.mark_drained(tenant, usize::MAX) {
+            self.try_dispatch_host(h, now);
+        }
+    }
+
+    /// Dispatch ready work on one host. Dispatches can begin weight
+    /// swaps (warming the new model's die, displacing the old), so the
+    /// warmth cache is refreshed on the way out, and dispatched hedged
+    /// requests cancel their tied copies.
+    fn try_dispatch_host(&mut self, host: usize, now: f64) {
+        {
+            let (core, mut sched) = self.host_core(host);
+            core.try_dispatch(now, &mut sched);
+        }
+        self.refresh_host_warmth(host);
+        self.resolve_ties(host, now);
+    }
+
+    /// First-wins hedge resolution: every request that just dispatched
+    /// on `host` cancels its tied sibling's still-queued copy at that
+    /// sibling's queue, so exactly one copy ever executes. Runs directly
+    /// after each dispatch pass — before any other host can dispatch —
+    /// so two copies of one request can never both reach a die. A no-op
+    /// for fleets without hedging (the dispatch log only exists when
+    /// it's on).
+    fn resolve_ties(&mut self, host: usize, now: f64) {
+        let mut dispatched: Vec<(usize, f64)> = Vec::new();
+        self.hosts[host].core.drain_dispatched(&mut dispatched);
+        for (slot, ts) in dispatched {
+            let tenant = self.hosts[host].slot_owner[slot];
+            let tr = &mut self.trs[tenant];
+            let Some(tie) = tr
+                .retry_rt
+                .as_mut()
+                .and_then(|rt| rt.hedge_pending.remove(&ts.to_bits()))
+            else {
+                continue;
+            };
+            let winner = self.hosts[host].slot_replica[slot];
+            let loser = match tie {
+                // No tied copy was launched; removing the entry just
+                // staled the pending hedge timer.
+                HedgeTie::Pending { .. } => continue,
+                HedgeTie::Tied { primary, hedge } if winner == hedge => {
+                    tr.hedge_wins += 1;
+                    primary
+                }
+                HedgeTie::Tied { hedge, .. } => hedge,
+            };
+            let r = &tr.replicas[loser];
+            let (lhost, lslot) = (r.host, r.slot);
+            let canceled = {
+                let (core, mut sched) = self.host_core(lhost);
+                core.cancel_queued(lslot, ts, now, &mut sched)
+            };
+            if canceled {
+                self.release(tenant, loser, 1);
+            }
+        }
+    }
+
+    /// Move a replica's outstanding count to `outstanding`, keeping the
+    /// serving indexes in sync when the replica is serving.
+    fn set_outstanding(&mut self, tenant: usize, replica: usize, outstanding: usize) {
+        let in_index = self.trs[tenant].eligible(replica, &self.hosts);
+        let tr = &mut self.trs[tenant];
+        let old = tr.replicas[replica].outstanding;
+        tr.replicas[replica].outstanding = outstanding;
+        if in_index {
+            tr.index.update(old, outstanding, replica);
+            if tr.swap_indexed && tr.replicas[replica].warm {
+                tr.warm.update(old, outstanding, replica);
+            }
+        }
+    }
+
+    /// `n` of a replica's outstanding requests left it (served,
+    /// displaced, or canceled); a draining replica retires once the
+    /// last one clears.
+    fn release(&mut self, tenant: usize, replica: usize, n: usize) {
+        let o = self.trs[tenant].replicas[replica].outstanding;
+        self.set_outstanding(tenant, replica, o - n);
+        let tr = &mut self.trs[tenant];
+        let r = &mut tr.replicas[replica];
+        if r.live && !r.routable && r.outstanding == 0 {
+            r.live = false;
+            self.hosts[r.host].weight_used -= tr.weight_bytes;
+            self.hosts[r.host].live_slots -= 1;
+        }
+    }
+
+    /// A host's health flipped: add (`true`) or drop (`false`) every
+    /// routable replica it carries from its tenant's serving index.
+    fn reindex_host(&mut self, host: usize, now_serving: bool) {
+        let h = &self.hosts[host];
+        for (&tenant, &replica) in h.slot_owner.iter().zip(&h.slot_replica) {
+            let tr = &mut self.trs[tenant];
+            let r = &mut tr.replicas[replica];
+            if !(r.live && r.routable) {
+                continue;
+            }
+            if now_serving {
+                // Warmth is re-derived fresh at insert (the host's dies
+                // were wiped by the crash that removed it), so the warm
+                // subset never trusts a bit cached across an outage.
+                r.warm = tr.swap_indexed && h.core.slot_has_warm_die(r.slot);
+                tr.index.insert(r.outstanding, replica);
+                if r.warm {
+                    tr.warm.insert(r.outstanding, replica);
+                }
+            } else {
+                tr.index.remove(r.outstanding, replica);
+                if tr.swap_indexed && r.warm {
+                    tr.warm.remove(r.outstanding, replica);
+                }
+            }
+        }
+    }
+
+    /// Re-derive the cached warmth bits for one host's replicas after
+    /// its die weight state changed (swap begun, swap completed, die
+    /// wiped), moving serving replicas between the swap-affinity warm
+    /// index and the cold remainder. One integer compare when nothing
+    /// changed — the common case for every non-co-located fleet.
+    fn refresh_host_warmth(&mut self, host: usize) {
+        let h = &mut self.hosts[host];
+        let epoch = h.core.weights_epoch();
+        if epoch == h.warm_epoch {
+            return;
+        }
+        h.warm_epoch = epoch;
+        if !h.healthy || h.partitioned {
+            // Crashed and partitioned hosts' replicas are out of every
+            // index (a partitioned host still drains, so its warmth
+            // keeps changing); their bits are re-derived at the
+            // reinsert on recovery or rejoin.
+            return;
+        }
+        for (&tenant, &replica) in h.slot_owner.iter().zip(&h.slot_replica) {
+            let tr = &mut self.trs[tenant];
+            if !tr.swap_indexed {
+                continue;
+            }
+            let r = &mut tr.replicas[replica];
+            let warm = h.core.slot_has_warm_die(r.slot);
+            if warm == r.warm {
+                continue;
+            }
+            r.warm = warm;
+            if r.live && r.routable {
+                if warm {
+                    tr.warm.insert(r.outstanding, replica);
+                } else {
+                    tr.warm.remove(r.outstanding, replica);
+                }
+            }
+        }
+    }
+
+    /// One displaced request hits the retry layer. With no policy this
+    /// is the legacy path verbatim: count the retry and re-route
+    /// immediately, with no bound. With a policy: bounded attempts
+    /// (`max_attempts` counts the original send), a lazily-refilled
+    /// token-bucket retry budget, and deterministic exponential backoff
+    /// with seeded jitter — the re-route happens at a later
+    /// [`FleetEvent::Retry`]. An abandoned request may have been the
+    /// tenant's last piece of work, so a drop runs the drained flush.
+    fn retry_or_drop(&mut self, tenant: usize, ts: f64, now: f64) {
+        let tr = &mut self.trs[tenant];
+        let Some(rt) = tr.retry_rt.as_mut() else {
+            tr.retries += 1;
+            self.note("retry", now);
+            if let Some(l) = self.tel.requests.as_mut() {
+                l.note_retry(&self.trs[tenant].spec.tenant.name, ts);
+            }
+            self.route_request(tenant, ts, now);
+            return;
+        };
+        let bits = ts.to_bits();
+        let spent = rt.attempts.get(&bits).copied().unwrap_or(0);
+        let exhausted = spent + 1 >= rt.policy.max_attempts;
+        // Lazily refill the budget bucket before judging this retry.
+        let over_budget = rt.policy.budget.is_some_and(|b| {
+            rt.tokens = (rt.tokens + (now - rt.last_refill_ms) * b.refill_per_ms).min(b.tokens);
+            rt.last_refill_ms = now;
+            rt.tokens < 1.0
+        });
+        if exhausted || over_budget {
+            rt.attempts.remove(&bits);
+            tr.dropped += 1;
+            self.note("drop", now);
+            if let Some(l) = self.tel.requests.as_mut() {
+                l.note_drop(&self.trs[tenant].spec.tenant.name, ts);
+            }
+            // An abandoned request is burn: feed the component's
+            // brownout controller so retry-budget pressure can trip
+            // sheds.
+            if let Some(b) = self.brownout.as_mut() {
+                b.observe(tenant, true, now, &mut self.fe_probe);
+            }
+            self.flush_if_drained(tenant, now);
+            return;
+        }
+        rt.attempts.insert(bits, spent + 1);
+        if rt.policy.budget.is_some() {
+            rt.tokens -= 1.0;
+        }
+        let u = rt.rng.gen_range(0.0..1.0);
+        let delay = rt.policy.backoff_ms(spent + 1, u);
+        tr.retries += 1;
+        // Count the request as displaced until its Retry fires, so the
+        // drained check can't trip while it waits out the backoff.
+        tr.displaced_pending += 1;
+        self.note("backoff", now);
+        if let Some(l) = self.tel.requests.as_mut() {
+            l.note_retry(&self.trs[tenant].spec.tenant.name, ts);
+        }
+        self.q
+            .schedule(now + delay, FleetEvent::Retry { tenant, ts });
+    }
+
+    /// Re-route parked requests while candidates exist.
+    fn unpark(&mut self, tenant: usize, now: f64) {
+        while let Some(&ts) = self.trs[tenant].parked.front() {
+            if !self.trs[tenant].has_candidates(&self.hosts) {
+                break;
+            }
+            self.trs[tenant].parked.pop_front();
+            self.route_request(tenant, ts, now);
+        }
+    }
+
+    /// Evaluate and apply one tenant's autoscaling decision.
+    fn autoscale_tenant(&mut self, tenant: usize, now: f64, cfg: &AutoscaleConfig) {
+        // Gather the window signals and advance the watermarks. Window
+        // latencies include draining replicas (their completions are
+        // real tail samples), but the utilization signal counts only
+        // *serving* replicas' busy time — busy time burned by draining
+        // or crashed replicas must not inflate the per-serving-replica
+        // average and trigger spurious scale-ups.
+        let mut window: Vec<f64> = Vec::new();
+        let mut busy_delta = 0.0;
+        let hosts = &self.hosts;
+        let tr = &mut self.trs[tenant];
+        for r in &mut tr.replicas {
+            let core = &hosts[r.host].core;
+            window.extend_from_slice(core.slot_latencies_from(r.slot, r.window_mark));
+            r.window_mark = core.latency_count(r.slot);
+            let busy = core.slot_busy_ms(r.slot);
+            let delta = busy - r.busy_mark;
+            r.busy_mark = busy;
+            if serving(r, hosts) {
+                busy_delta += delta;
+            }
+        }
+        window.sort_unstable_by(|a, b| a.total_cmp(b));
+        let window_p99 = (!window.is_empty()).then(|| percentile(&window, 0.99));
+        let serving_now = tr.serving_replicas(hosts);
+        let decision = decide(
+            cfg,
+            &ScaleSignals {
+                window_p99,
+                slo_ms: tr.spec.tenant.slo_ms,
+                replica_util: busy_delta / (cfg.interval_ms * serving_now.max(1) as f64),
+                replicas: serving_now,
+                min_replicas: tr.spec.min_replicas,
+                max_replicas: tr.spec.max_replicas,
+                since_last_action_ms: now - tr.last_scale_ms,
+            },
+        );
+        match decision {
+            ScaleDecision::Hold => {}
+            ScaleDecision::Up => {
+                self.try_scale_up(tenant, now);
+            }
+            ScaleDecision::Down => self.scale_down(tenant, now),
+        }
+    }
+
+    /// Drain the least-loaded serving replica of `tenant`: it leaves
+    /// the routable set, flushes its queue, and retires once empty.
+    fn scale_down(&mut self, tenant: usize, now: f64) {
+        let tr = &mut self.trs[tenant];
+        let victim = tr
+            .replicas
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| serving(r, &self.hosts))
+            .min_by_key(|(i, r)| (r.outstanding, *i));
+        let Some((replica, _)) = victim else {
+            return;
+        };
+        let r = &mut tr.replicas[replica];
+        r.routable = false;
+        // The victim was serving (the filter above); draining removes
+        // it from the routable set.
+        tr.index.remove(r.outstanding, replica);
+        if tr.swap_indexed && r.warm {
+            tr.warm.remove(r.outstanding, replica);
+        }
+        let (host, slot) = (r.host, r.slot);
+        self.hosts[host].core.set_draining(slot, true);
+        self.try_dispatch_host(host, now);
+        // Releasing nothing retires the victim at once if it is empty.
+        self.release(tenant, replica, 0);
+        self.trs[tenant].last_scale_ms = now;
+    }
+
+    /// Place one more replica of a tenant on the best eligible host
+    /// (healthy, free weight memory, not already hosting it), route any
+    /// parked requests to it, and stamp the cooldown. Returns whether a
+    /// replica was placed.
+    fn try_scale_up(&mut self, tenant: usize, now: f64) -> bool {
+        let tr = &self.trs[tenant];
+        // The ceiling counts *live* replicas, including ones on crashed
+        // hosts (they rejoin on recovery): a transient outage must not
+        // let the tenant durably exceed its configured max_replicas.
+        if tr.replicas.iter().filter(|r| r.live).count() >= tr.spec.max_replicas {
+            return false;
+        }
+        let target = self
+            .hosts
+            .iter()
+            .enumerate()
+            .filter(|(h, hr)| {
+                hr.healthy
+                    && !hr.partitioned
+                    && hr.weight_used + tr.weight_bytes <= self.spec.hosts[*h].weight_capacity_bytes
+                    && !tr.replicas.iter().any(|r| r.live && r.host == *h)
+            })
+            .min_by_key(|(h, hr)| (hr.live_slots, *h));
+        let Some((host, _)) = target else {
+            return false;
+        };
+        self.trs[tenant].place_replica(tenant, host, &mut self.hosts);
+        self.trs[tenant].last_scale_ms = now;
+        self.unpark(tenant, now);
+        true
+    }
+
+    /// Snapshot the per-tenant serving replica counts.
+    fn sample_now(&self, t_ms: f64) -> ReplicaSample {
+        ReplicaSample {
+            t_ms,
+            replicas: self
+                .trs
+                .iter()
+                .map(|tr| tr.serving_replicas(&self.hosts))
+                .collect(),
+        }
     }
 }
 
@@ -1685,70 +2055,14 @@ fn assemble(spec: &FleetSpec, placement: PlacementPlan, out: ScopedRun) -> Fleet
         .iter()
         .map(|h| h.core.report(h.core.makespan_ms(), h.events))
         .collect();
-
     let tenant_reports: Vec<FleetTenantReport> = trs
         .iter()
         .enumerate()
         .map(|(t, tr)| {
-            let mut merged: Vec<f64> = tr
-                .replicas
-                .iter()
-                .flat_map(|r| hosts[r.host].core.slot_latencies(r.slot))
-                .collect();
-            merged.sort_unstable_by(|a, b| a.total_cmp(b));
-            let n = merged.len();
-            let batches: usize = tr
-                .replicas
-                .iter()
-                .map(|r| hosts[r.host].core.slot_batches(r.slot))
-                .sum();
-            let dispatched: usize = tr
-                .replicas
-                .iter()
-                .map(|r| hosts[r.host].core.slot_dispatched(r.slot))
-                .sum();
-            let slo_ms = tr.spec.tenant.slo_ms;
-            let slo_hits = merged.iter().filter(|&&l| l <= slo_ms).count();
             let counts: Vec<usize> = timeline.iter().map(|s| s.replicas[t]).collect();
-            let swaps: usize = tr
-                .replicas
-                .iter()
-                .map(|r| hosts[r.host].core.slot_swaps(r.slot))
-                .sum();
-            let swap_ms: f64 = tr
-                .replicas
-                .iter()
-                .map(|r| hosts[r.host].core.slot_swap_ms(r.slot))
-                .sum();
-            FleetTenantReport {
-                name: tr.spec.tenant.name.clone(),
-                workload: tr.spec.tenant.workload.clone(),
-                priority: tr.spec.tenant.priority,
-                requests: n,
-                offered: tr.spec.tenant.requests,
-                dropped: tr.dropped,
-                shed: tr.shed,
-                hedges: tr.hedges,
-                hedge_wins: tr.hedge_wins,
-                retries: tr.retries,
-                batches,
-                mean_batch: dispatched as f64 / batches.max(1) as f64,
-                mean_ms: merged.iter().sum::<f64>() / n.max(1) as f64,
-                p50_ms: percentile(&merged, 0.50),
-                p95_ms: percentile(&merged, 0.95),
-                p99_ms: percentile(&merged, 0.99),
-                slo_ms,
-                slo_attainment: slo_hits as f64 / n.max(1) as f64,
-                throughput_rps: n as f64 / makespan_ms.max(f64::MIN_POSITIVE) * 1000.0,
-                replicas_final: *counts.last().expect("timeline non-empty"),
-                replicas_min: counts.iter().copied().min().unwrap_or(0),
-                replicas_max: counts.iter().copied().max().unwrap_or(0),
-                swaps,
-                swap_ms,
-            }
+            tenant_report(tr, &hosts, &counts, makespan_ms)
         })
         .collect();
-
     let host_rows: Vec<FleetHostReport> = hosts
         .iter()
         .enumerate()
@@ -1787,579 +2101,50 @@ fn assemble(spec: &FleetSpec, placement: PlacementPlan, out: ScopedRun) -> Fleet
     }
 }
 
-/// The shared tail of every delivery: check whether the tenant just
-/// became fully delivered (flush its other replicas), re-arm the
-/// receiving slot's timer, and dispatch — in exactly the order
-/// `tpu_serve::run` uses, so the 1-host fleet replays it bit for bit.
-fn finish_delivery(
-    q: &mut EventQueue<FleetEvent>,
-    hosts: &mut [HostRt],
-    trs: &mut [TenantRt],
-    tenant: usize,
-    host: usize,
-    slot: usize,
-    now: f64,
-) {
-    let flush_hosts = maybe_mark_drained(hosts, trs, tenant, host);
-    let epoch = hosts[host].epoch;
-    hosts[host].core.after_arrival(slot, now, &mut |at, e| {
-        q.schedule(
-            at,
-            FleetEvent::Host {
-                host,
-                epoch,
-                event: e,
-            },
-        )
-    });
-    try_dispatch_host(q, hosts, trs, host, now);
-    for h in flush_hosts {
-        try_dispatch_host(q, hosts, trs, h, now);
-    }
-}
-
-/// Mark the tenant drained once every request has been generated and
-/// delivered: all live replicas flush partial batches. Returns the
-/// *other* hosts (not `delivered_host`) that need a dispatch pass; the
-/// caller runs them after its own, preserving single-host event order.
-fn maybe_mark_drained(
-    hosts: &mut [HostRt],
-    trs: &mut [TenantRt],
-    tenant: usize,
-    delivered_host: usize,
-) -> Vec<usize> {
-    let tr = &mut trs[tenant];
-    // Cheap flags first: `pending_arrival` is true for nearly every
-    // delivery mid-run, so the virtual `remaining()` call on the boxed
-    // arrival source is skipped on the hot path.
-    if tr.drained
-        || tr.pending_arrival
-        || tr.in_hop > 0
-        || tr.displaced_pending > 0
-        || !tr.parked.is_empty()
-        || tr.gen.remaining() > 0
-    {
-        return Vec::new();
-    }
-    tr.drained = true;
-    let mut flush = Vec::new();
-    for r in &tr.replicas {
-        if r.live {
-            hosts[r.host].core.set_draining(r.slot, true);
-            if r.host != delivered_host && !flush.contains(&r.host) {
-                flush.push(r.host);
-            }
-        }
-    }
-    flush
-}
-
-/// Dispatch-ready work on one host, scheduling its events with the
-/// current epoch. Dispatches can begin weight swaps (warming the new
-/// model's die, displacing the old), so the warmth cache is refreshed
-/// on the way out.
-fn try_dispatch_host(
-    q: &mut EventQueue<FleetEvent>,
-    hosts: &mut [HostRt],
-    trs: &mut [TenantRt],
-    host: usize,
-    now: f64,
-) {
-    let epoch = hosts[host].epoch;
-    hosts[host].core.try_dispatch(now, &mut |at, e| {
-        q.schedule(
-            at,
-            FleetEvent::Host {
-                host,
-                epoch,
-                event: e,
-            },
-        )
-    });
-    refresh_host_warmth(trs, hosts, host);
-    resolve_ties(q, hosts, trs, host, now);
-}
-
-/// First-wins hedge resolution: every request that just dispatched on
-/// `host` cancels its tied sibling's still-queued copy at that
-/// sibling's queue, so exactly one copy ever executes. Runs directly
-/// after each dispatch pass — before any other host can dispatch — so
-/// two copies of one request can never both reach a die. A no-op for
-/// fleets without hedging (the dispatch log only exists when it's on).
-fn resolve_ties(
-    q: &mut EventQueue<FleetEvent>,
-    hosts: &mut [HostRt],
-    trs: &mut [TenantRt],
-    host: usize,
-    now: f64,
-) {
-    let mut dispatched: Vec<(usize, f64)> = Vec::new();
-    hosts[host].core.drain_dispatched(&mut dispatched);
-    for (slot, ts) in dispatched {
-        let tenant = hosts[host].slot_owner[slot];
-        let Some(tie) = trs[tenant]
-            .retry_rt
-            .as_mut()
-            .and_then(|rt| rt.hedge_pending.remove(&ts.to_bits()))
-        else {
-            continue;
-        };
-        let winner = hosts[host].slot_replica[slot];
-        let loser = match tie {
-            // No tied copy was launched; removing the entry just
-            // staled the pending hedge timer.
-            HedgeTie::Pending { .. } => continue,
-            HedgeTie::Tied { primary, hedge } => {
-                if winner == hedge {
-                    trs[tenant].hedge_wins += 1;
-                    primary
-                } else {
-                    hedge
-                }
-            }
-        };
-        let (lh, lslot) = {
-            let r = &trs[tenant].replicas[loser];
-            (r.host, r.slot)
-        };
-        let epoch = hosts[lh].epoch;
-        let canceled = hosts[lh].core.cancel_queued(lslot, ts, now, &mut |at, e| {
-            q.schedule(
-                at,
-                FleetEvent::Host {
-                    host: lh,
-                    epoch,
-                    event: e,
-                },
-            )
-        });
-        if canceled {
-            let o = trs[tenant].replicas[loser].outstanding;
-            set_outstanding(trs, hosts, tenant, loser, o - 1);
-            maybe_retire(hosts, trs, tenant, loser);
-        }
-    }
-}
-
-/// The hedge-fire delay for one tenant's fresh arrival, or `None` when
-/// hedging is off. The delay is the configured quantile over the
-/// recent completion window, floored at `min_delay_ms` — and pinned to
-/// the floor until 20 completions exist (a tail estimate over fewer
-/// samples is noise). The quantile is cached until the window next
-/// changes, so the arrivals between two completions sort it once. Debug
-/// builds check every cached delay against a fresh quantile.
-fn hedge_delay(tr: &mut TenantRt) -> Option<f64> {
-    let rt = tr.retry_rt.as_mut()?;
-    let h = rt.policy.hedge?;
-    if rt.lat_seen < 20 {
-        return Some(h.min_delay_ms);
-    }
-    let delay = *rt
-        .hedge_delay_ms
-        .get_or_insert_with(|| window_delay(&rt.lat_window, h));
-    debug_assert_eq!(
-        delay.to_bits(),
-        window_delay(&rt.lat_window, h).to_bits(),
-        "tenant {}: cached hedge delay differs from the window's quantile",
-        tr.spec.tenant.name
-    );
-    Some(delay)
-}
-
-/// The hedge config's quantile over a completion window, floored at its
-/// `min_delay_ms`.
-fn window_delay(window: &VecDeque<f64>, h: HedgeConfig) -> f64 {
-    let mut lat: Vec<f64> = window.iter().copied().collect();
-    lat.sort_unstable_by(|a, b| a.total_cmp(b));
-    percentile(&lat, h.quantile).max(h.min_delay_ms)
-}
-
-/// Feed one completed batch's just-committed latencies to the owning
-/// tenant's hedge-delay window and its component's brownout
-/// controller. A no-op unless one of those consumers exists.
-#[allow(clippy::too_many_arguments)]
-fn observe_completions(
-    trs: &mut [TenantRt],
+/// One tenant's fleet-wide row: latencies merged across its replicas,
+/// and its serving-replica `counts` along the timeline.
+fn tenant_report(
+    tr: &TenantRt,
     hosts: &[HostRt],
-    brownout: &mut Option<BrownoutCtl>,
-    fe_probe: &mut Option<HostProbe>,
-    tenant: usize,
-    host: usize,
-    slot: usize,
-    from: usize,
-    now: f64,
-) {
-    let hedging = trs[tenant]
-        .retry_rt
-        .as_ref()
-        .is_some_and(|rt| rt.policy.hedge.is_some());
-    if brownout.is_none() && !hedging {
-        return;
+    counts: &[usize],
+    makespan_ms: f64,
+) -> FleetTenantReport {
+    let slots = || tr.replicas.iter().map(|r| (&hosts[r.host].core, r.slot));
+    let mut merged: Vec<f64> = slots()
+        .flat_map(|(core, slot)| core.slot_latencies(slot).iter().copied())
+        .collect();
+    merged.sort_unstable_by(|a, b| a.total_cmp(b));
+    let n = merged.len();
+    let batches: usize = slots().map(|(core, slot)| core.slot_batches(slot)).sum();
+    let dispatched: usize = slots().map(|(core, slot)| core.slot_dispatched(slot)).sum();
+    let slo_ms = tr.spec.tenant.slo_ms;
+    let slo_hits = merged.iter().filter(|&&l| l <= slo_ms).count();
+    FleetTenantReport {
+        name: tr.spec.tenant.name.clone(),
+        workload: tr.spec.tenant.workload.clone(),
+        priority: tr.spec.tenant.priority,
+        requests: n,
+        offered: tr.spec.tenant.requests,
+        dropped: tr.dropped,
+        shed: tr.shed,
+        hedges: tr.hedges,
+        hedge_wins: tr.hedge_wins,
+        retries: tr.retries,
+        batches,
+        mean_batch: dispatched as f64 / batches.max(1) as f64,
+        mean_ms: merged.iter().sum::<f64>() / n.max(1) as f64,
+        p50_ms: percentile(&merged, 0.50),
+        p95_ms: percentile(&merged, 0.95),
+        p99_ms: percentile(&merged, 0.99),
+        slo_ms,
+        slo_attainment: slo_hits as f64 / n.max(1) as f64,
+        throughput_rps: n as f64 / makespan_ms.max(f64::MIN_POSITIVE) * 1000.0,
+        replicas_final: *counts.last().expect("timeline non-empty"),
+        replicas_min: counts.iter().copied().min().unwrap_or(0),
+        replicas_max: counts.iter().copied().max().unwrap_or(0),
+        swaps: slots().map(|(core, slot)| core.slot_swaps(slot)).sum(),
+        swap_ms: slots().map(|(core, slot)| core.slot_swap_ms(slot)).sum(),
     }
-    let lats = hosts[host].core.slot_latencies_from(slot, from);
-    let slo = trs[tenant].spec.tenant.slo_ms;
-    if hedging {
-        let rt = trs[tenant].retry_rt.as_mut().expect("hedging checked");
-        let window = rt.policy.hedge.expect("hedging checked").window;
-        if !lats.is_empty() {
-            rt.hedge_delay_ms = None;
-        }
-        for &l in &lats {
-            if rt.lat_window.len() == window {
-                rt.lat_window.pop_front();
-            }
-            rt.lat_window.push_back(l);
-            rt.lat_seen += 1;
-        }
-    }
-    if let Some(b) = brownout.as_mut() {
-        let g = b.group_of[tenant];
-        for &l in &lats {
-            if let Some(state) = b.groups[g].observe(l > slo, now) {
-                if let Some(p) = fe_probe.as_mut() {
-                    let what = if state {
-                        "brownout-trip"
-                    } else {
-                        "brownout-clear"
-                    };
-                    p.instant("fleet", what, now);
-                }
-            }
-        }
-    }
-}
-
-/// One displaced request hits the retry layer. With no policy this is
-/// the legacy path verbatim: count the retry and re-route immediately,
-/// with no bound. With a policy: bounded attempts (`max_attempts`
-/// counts the original send), a lazily-refilled token-bucket retry
-/// budget, and deterministic exponential backoff with seeded jitter —
-/// the re-route happens at a later [`FleetEvent::Retry`]. Returns
-/// `true` when the request was abandoned; the caller must then run the
-/// drained-flush check, since the drop may have been the tenant's last
-/// outstanding piece of work.
-#[allow(clippy::too_many_arguments)]
-fn retry_or_drop(
-    q: &mut EventQueue<FleetEvent>,
-    hosts: &mut [HostRt],
-    trs: &mut [TenantRt],
-    spec: &FleetSpec,
-    tenant: usize,
-    ts: f64,
-    now: f64,
-    fe_probe: &mut Option<HostProbe>,
-    tel: &mut RunTelemetry,
-    brownout: &mut Option<BrownoutCtl>,
-) -> bool {
-    if trs[tenant].retry_rt.is_none() {
-        trs[tenant].retries += 1;
-        if let Some(p) = fe_probe.as_mut() {
-            p.instant("fleet", "retry", now);
-        }
-        if let Some(l) = tel.requests.as_mut() {
-            l.note_retry(&trs[tenant].spec.tenant.name, ts);
-        }
-        route_request(q, hosts, trs, spec, tenant, ts, now);
-        return false;
-    }
-    let bits = ts.to_bits();
-    let rt = trs[tenant].retry_rt.as_mut().expect("checked above");
-    let spent = rt.attempts.get(&bits).copied().unwrap_or(0);
-    let exhausted = spent + 1 >= rt.policy.max_attempts;
-    // Lazily refill the budget bucket before judging this retry.
-    let over_budget = if let Some(b) = rt.policy.budget {
-        rt.tokens = (rt.tokens + (now - rt.last_refill_ms) * b.refill_per_ms).min(b.tokens);
-        rt.last_refill_ms = now;
-        rt.tokens < 1.0
-    } else {
-        false
-    };
-    if exhausted || over_budget {
-        rt.attempts.remove(&bits);
-        trs[tenant].dropped += 1;
-        if let Some(p) = fe_probe.as_mut() {
-            p.instant("fleet", "drop", now);
-        }
-        if let Some(l) = tel.requests.as_mut() {
-            l.note_drop(&trs[tenant].spec.tenant.name, ts);
-        }
-        // An abandoned request is burn: feed the component's brownout
-        // controller so retry-budget pressure can trip sheds.
-        if let Some(b) = brownout.as_mut() {
-            let g = b.group_of[tenant];
-            if let Some(state) = b.groups[g].observe(true, now) {
-                if let Some(p) = fe_probe.as_mut() {
-                    let what = if state {
-                        "brownout-trip"
-                    } else {
-                        "brownout-clear"
-                    };
-                    p.instant("fleet", what, now);
-                }
-            }
-        }
-        return true;
-    }
-    rt.attempts.insert(bits, spent + 1);
-    if rt.policy.budget.is_some() {
-        rt.tokens -= 1.0;
-    }
-    let u = rt.rng.gen_range(0.0..1.0);
-    let delay = rt.policy.backoff_ms(spent + 1, u);
-    trs[tenant].retries += 1;
-    if let Some(p) = fe_probe.as_mut() {
-        p.instant("fleet", "backoff", now);
-    }
-    if let Some(l) = tel.requests.as_mut() {
-        l.note_retry(&trs[tenant].spec.tenant.name, ts);
-    }
-    // Count the request as displaced until its Retry fires, so the
-    // drained check can't trip while it waits out the backoff.
-    trs[tenant].displaced_pending += 1;
-    q.schedule(now + delay, FleetEvent::Retry { tenant, ts });
-    false
-}
-
-/// Route one request (fresh, retried, or unparked) at time `now`,
-/// keeping its original arrival timestamp `ts` for latency accounting.
-fn route_request(
-    q: &mut EventQueue<FleetEvent>,
-    hosts: &mut [HostRt],
-    trs: &mut [TenantRt],
-    spec: &FleetSpec,
-    tenant: usize,
-    ts: f64,
-    now: f64,
-) {
-    match pick_replica(trs, hosts, spec, tenant) {
-        None => trs[tenant].parked.push_back(ts),
-        Some(replica) => deliver_or_hop(q, hosts, trs, tenant, replica, ts, now),
-    }
-}
-
-/// Hand one routed request (front-end arrival time `ts`) to `replica`:
-/// either schedule the network hop or deliver straight into the host
-/// queue. The single delivery path shared by fresh arrivals, crash
-/// retries, and unparked requests.
-fn deliver_or_hop(
-    q: &mut EventQueue<FleetEvent>,
-    hosts: &mut [HostRt],
-    trs: &mut [TenantRt],
-    tenant: usize,
-    replica: usize,
-    ts: f64,
-    now: f64,
-) {
-    let o = trs[tenant].replicas[replica].outstanding;
-    set_outstanding(trs, hosts, tenant, replica, o + 1);
-    let hop = trs[tenant].hop_ms;
-    if hop > 0.0 {
-        trs[tenant].in_hop += 1;
-        q.schedule(
-            now + hop,
-            FleetEvent::Deliver {
-                tenant,
-                replica,
-                arrived_ms: ts,
-            },
-        );
-    } else {
-        let (host, slot) = {
-            let r = &trs[tenant].replicas[replica];
-            (r.host, r.slot)
-        };
-        hosts[host].core.enqueue(slot, ts);
-        hosts[host].events += 1;
-        finish_delivery(q, hosts, trs, tenant, host, slot, now);
-    }
-}
-
-/// Retire a drained replica once its last outstanding request clears.
-fn maybe_retire(hosts: &mut [HostRt], trs: &mut [TenantRt], tenant: usize, replica: usize) {
-    let weight = trs[tenant].spec.weight_bytes();
-    let r = &mut trs[tenant].replicas[replica];
-    if r.live && !r.routable && r.outstanding == 0 {
-        r.live = false;
-        hosts[r.host].weight_used -= weight;
-        hosts[r.host].live_slots -= 1;
-    }
-}
-
-/// Re-route parked requests while candidates exist.
-fn unpark(
-    q: &mut EventQueue<FleetEvent>,
-    hosts: &mut [HostRt],
-    trs: &mut [TenantRt],
-    spec: &FleetSpec,
-    tenant: usize,
-    now: f64,
-) {
-    while let Some(&ts) = trs[tenant].parked.front() {
-        if !trs[tenant].has_candidates(hosts) {
-            break;
-        }
-        trs[tenant].parked.pop_front();
-        route_request(q, hosts, trs, spec, tenant, ts, now);
-    }
-}
-
-/// Evaluate and apply one tenant's autoscaling decision.
-fn autoscale_tenant(
-    q: &mut EventQueue<FleetEvent>,
-    hosts: &mut [HostRt],
-    trs: &mut [TenantRt],
-    spec: &FleetSpec,
-    tenant: usize,
-    now: f64,
-    cfg: &crate::autoscale::AutoscaleConfig,
-) {
-    // Gather the window signals and advance the watermarks. Window
-    // latencies include draining replicas (their completions are real
-    // tail samples), but the utilization signal counts only *serving*
-    // replicas' busy time — busy time burned by draining or crashed
-    // replicas must not inflate the per-serving-replica average and
-    // trigger spurious scale-ups.
-    let mut window: Vec<f64> = Vec::new();
-    let mut busy_delta = 0.0;
-    {
-        let tr = &mut trs[tenant];
-        for r in &mut tr.replicas {
-            let core = &hosts[r.host].core;
-            window.extend(core.slot_latencies_from(r.slot, r.window_mark));
-            r.window_mark = core.latency_count(r.slot);
-            let busy = core.slot_busy_ms(r.slot);
-            let delta = busy - r.busy_mark;
-            r.busy_mark = busy;
-            if serving(r, hosts) {
-                busy_delta += delta;
-            }
-        }
-    }
-    window.sort_unstable_by(|a, b| a.total_cmp(b));
-    let window_p99 = if window.is_empty() {
-        None
-    } else {
-        Some(percentile(&window, 0.99))
-    };
-    let serving = trs[tenant].serving_replicas(hosts);
-    let util = busy_delta / (cfg.interval_ms * serving.max(1) as f64);
-    let decision = decide(
-        cfg,
-        &ScaleSignals {
-            window_p99,
-            slo_ms: trs[tenant].spec.tenant.slo_ms,
-            replica_util: util,
-            replicas: serving,
-            min_replicas: trs[tenant].spec.min_replicas,
-            max_replicas: trs[tenant].spec.max_replicas,
-            since_last_action_ms: now - trs[tenant].last_scale_ms,
-        },
-    );
-    match decision {
-        ScaleDecision::Hold => {}
-        ScaleDecision::Up => {
-            try_scale_up(q, hosts, trs, spec, tenant, now);
-        }
-        ScaleDecision::Down => {
-            let victim = trs[tenant]
-                .replicas
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| self::serving(r, hosts))
-                .min_by_key(|(i, r)| (r.outstanding, *i))
-                .map(|(i, _)| i);
-            if let Some(replica) = victim {
-                let (host, slot) = {
-                    let tr = &mut trs[tenant];
-                    let r = &mut tr.replicas[replica];
-                    r.routable = false;
-                    let (o, warm) = (r.outstanding, r.warm);
-                    let (h, s) = (r.host, r.slot);
-                    // The victim was serving (the filter above);
-                    // draining removes it from the routable set.
-                    tr.index.remove(o, replica);
-                    if tr.swap_indexed && warm {
-                        tr.warm.remove(o, replica);
-                    }
-                    (h, s)
-                };
-                hosts[host].core.set_draining(slot, true);
-                try_dispatch_host(q, hosts, trs, host, now);
-                maybe_retire(hosts, trs, tenant, replica);
-                trs[tenant].last_scale_ms = now;
-            }
-        }
-    }
-}
-
-/// Place one more replica of a tenant on the best eligible host
-/// (healthy, free weight memory, not already hosting it), route any
-/// parked requests to it, and stamp the cooldown. Returns whether a
-/// replica was placed.
-fn try_scale_up(
-    q: &mut EventQueue<FleetEvent>,
-    hosts: &mut [HostRt],
-    trs: &mut [TenantRt],
-    spec: &FleetSpec,
-    tenant: usize,
-    now: f64,
-) -> bool {
-    // The ceiling counts *live* replicas, including ones on crashed
-    // hosts (they rejoin on recovery): a transient outage must not let
-    // the tenant durably exceed its configured max_replicas.
-    let live = trs[tenant].replicas.iter().filter(|r| r.live).count();
-    if live >= trs[tenant].spec.max_replicas {
-        return false;
-    }
-    let weight = trs[tenant].spec.weight_bytes();
-    let target = hosts
-        .iter()
-        .enumerate()
-        .filter(|(h, hr)| {
-            hr.healthy
-                && !hr.partitioned
-                && hr.weight_used + weight <= spec.hosts[*h].weight_capacity_bytes
-                && !trs[tenant].replicas.iter().any(|r| r.live && r.host == *h)
-        })
-        .min_by_key(|(h, hr)| (hr.live_slots, *h))
-        .map(|(h, _)| h);
-    let Some(host) = target else {
-        return false;
-    };
-    let slot = hosts[host]
-        .core
-        .add_slot(trs[tenant].spec.tenant.clone(), trs[tenant].curve);
-    if let Some(mw) = trs[tenant].weights {
-        hosts[host].core.set_slot_weights(slot, mw);
-    }
-    hosts[host].slot_owner.push(tenant);
-    hosts[host].slot_replica.push(trs[tenant].replicas.len());
-    hosts[host].weight_used += weight;
-    hosts[host].live_slots += 1;
-    if trs[tenant].drained {
-        hosts[host].core.set_draining(slot, true);
-    }
-    let mark = hosts[host].core.latency_count(slot);
-    let busy = hosts[host].core.slot_busy_ms(slot);
-    let warm_bit = trs[tenant].swap_indexed && hosts[host].core.slot_has_warm_die(slot);
-    let replica = trs[tenant].replicas.len();
-    trs[tenant].index.insert(0, replica);
-    if warm_bit {
-        trs[tenant].warm.insert(0, replica);
-    }
-    trs[tenant].replicas.push(ReplicaRt {
-        host,
-        slot,
-        routable: true,
-        live: true,
-        outstanding: 0,
-        window_mark: mark,
-        busy_mark: busy,
-        warm: warm_bit,
-    });
-    trs[tenant].last_scale_ms = now;
-    unpark(q, hosts, trs, spec, tenant, now);
-    true
 }
 
 /// Emit one cadence sample's fleet gauges: per tenant the outstanding
@@ -2417,19 +2202,6 @@ fn fleet_gauges(now: f64, trs: &[TenantRt], hosts: &[HostRt], emit: &mut dyn FnM
     }
 }
 
-/// Record one cadence sample of the fleet probe series at stamp `t`.
-fn sample_metrics(m: &mut MetricsRecorder, t: f64, now: f64, trs: &[TenantRt], hosts: &[HostRt]) {
-    fleet_gauges(now, trs, hosts, &mut |name, v| m.record(&name, t, v));
-}
-
-/// Snapshot the per-tenant serving replica counts.
-fn sample_now(t_ms: f64, trs: &[TenantRt], hosts: &[HostRt]) -> ReplicaSample {
-    ReplicaSample {
-        t_ms,
-        replicas: trs.iter().map(|tr| tr.serving_replicas(hosts)).collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2457,10 +2229,11 @@ mod tests {
         let tenants = [FleetTenantSpec::new(tenant, 2)];
         let placement = plan_placement(&spec, &tenants, &cfg);
         let scope = Scope::identity(&spec, &placement.assignments);
-        let (hosts, mut trs) = init_scope(&spec, &tenants, &cfg, &scope);
+        let mut tel = RunTelemetry::off();
+        let mut st = FleetState::new(&spec, &tenants, &cfg, &mut tel, &scope);
         // The index still files replica 0 at zero outstanding, so it
         // picks replica 0; the scan sees three and picks replica 1.
-        trs[0].replicas[0].outstanding = 3;
-        pick_replica(&mut trs, &hosts, &spec, 0);
+        st.trs[0].replicas[0].outstanding = 3;
+        st.pick_replica(0);
     }
 }

@@ -33,7 +33,10 @@
 //!   brownout load-shedding ([`resilience::RetryPolicy`],
 //!   [`resilience::BrownoutConfig`]);
 //! * [`engine`] — the fleet event loop tying it together over the
-//!   event core extracted into `tpu_serve::sim`;
+//!   event core extracted into `tpu_serve::sim`. One `FleetState` holds
+//!   a run's (or a shard's) hosts, tenants, event queue and tallies,
+//!   with one handler per event variant; a new event is a variant, a
+//!   profile name and a handler;
 //! * [`report`] — fleet-wide per-tenant tails, SLO attainment, per-host
 //!   utilization, and replica-count timelines, as text or JSON —
 //!   bit-identical for a fixed seed;

@@ -32,7 +32,7 @@ use crate::workload::ArrivalSource;
 use serde::{Deserialize, Serialize};
 use tpu_core::TpuConfig;
 pub use tpu_platforms::server::Dispatch;
-use tpu_telemetry::{HostProbe, MetricsRecorder, RequestProbe, RunTelemetry};
+use tpu_telemetry::RunTelemetry;
 
 impl From<HostEvent> for Event {
     fn from(e: HostEvent) -> Event {
@@ -121,12 +121,7 @@ pub fn run_telemetry(
             )
         })
         .collect();
-    if tel.tracer.is_some() {
-        host.set_probe(HostProbe::new(0, "host 0", cluster.dies));
-    }
-    if tel.requests.is_some() {
-        host.set_request_probe(RequestProbe::new(0));
-    }
+    host.attach_probes(tel, 0);
 
     let mut q = EventQueue::new();
     for (i, s) in sources.iter_mut().enumerate() {
@@ -136,25 +131,11 @@ pub fn run_telemetry(
         q.schedule(at, Event::Arrival { tenant: i });
     }
 
-    // Per-event-type tallies for the engine profile (plain adds, no
-    // branches; folded into `tel.profile` after the loop).
+    // Per-event-type tallies (plain adds, no branches): the engine
+    // profile's event counts, and summed, the report's event count.
     let mut counts = [0u64; 4];
-    let mut events_processed = 0u64;
     while let Some((now, event)) = q.pop() {
-        events_processed += 1;
-        if let Some(m) = tel.metrics.as_mut() {
-            if m.due(now) {
-                let t = m.advance(now);
-                sample_host(m, t, now, &host, tenants);
-            }
-        }
-        if let Some(mon) = tel.monitor.as_mut() {
-            if mon.due(now) {
-                let t = mon.advance(now);
-                host_gauges(now, &host, tenants, &mut |name, v| mon.record(&name, v));
-                mon.close_sample(t);
-            }
-        }
+        tel.sample(now, |emit| host_gauges(now, &host, tenants, emit));
         match event {
             Event::Arrival { tenant } => {
                 counts[0] += 1;
@@ -173,34 +154,20 @@ pub fn run_telemetry(
             }
             Event::DieFree { die } => {
                 counts[2] += 1;
-                let done = host.on_die_free(die, 0);
-                if let Some(m) = tel.metrics.as_mut() {
-                    if let Some(done) = done {
-                        // The batch's latencies were just committed at
-                        // the end of the slot's buffer; feed them to the
-                        // per-tenant sketch (slot index == tenant index).
-                        let from = host.latency_count(done.slot) - done.completions;
-                        let series = format!("latency/{}", tenants[done.slot].name);
-                        for l in host.slot_latencies_from(done.slot, from) {
-                            m.observe(&series, l);
-                        }
-                    }
-                }
-                if let Some(mon) = tel.monitor.as_mut() {
-                    if let Some(done) = done {
-                        let spec = &tenants[done.slot];
-                        let from = host.latency_count(done.slot) - done.completions;
-                        for l in host.slot_latencies_from(done.slot, from) {
-                            mon.observe_latency(&spec.name, l, spec.slo_ms);
-                        }
-                        mon.observe_service(
-                            &spec.name,
-                            0,
-                            die,
-                            done.end_ms - done.start_ms - done.swap_ms,
-                            done.completions,
-                        );
-                    }
+                if let Some(done) = host.on_die_free(die, 0) {
+                    // The batch's latencies were just committed at the
+                    // end of the slot's buffer (slot index == tenant
+                    // index).
+                    let spec = &tenants[done.slot];
+                    let from = host.latency_count(done.slot) - done.completions;
+                    tel.observe_batch(
+                        &spec.name,
+                        spec.slo_ms,
+                        0,
+                        die,
+                        host.slot_latencies_from(done.slot, from),
+                        done.end_ms - done.start_ms - done.swap_ms,
+                    );
                 }
             }
             Event::WeightSwap { die } => {
@@ -229,45 +196,27 @@ pub fn run_telemetry(
         );
     }
 
-    if let Some(tr) = tel.tracer.as_mut() {
-        if let Some(p) = host.take_probe() {
-            tr.absorb(p.into_tracer());
-        }
-    }
-    if let Some(log) = tel.requests.as_mut() {
-        if let Some(p) = host.take_request_probe() {
-            log.absorb(p);
-        }
-    }
-    if let Some(m) = tel.metrics.as_mut() {
-        // The final partial interval's latency percentiles.
-        m.flush_sketches(host.makespan_ms());
-    }
-    if let Some(mon) = tel.monitor.as_mut() {
-        mon.finish();
-    }
-    if let Some(pr) = tel.profile.as_mut() {
-        pr.event_counts = [
+    tel.finish_run(
+        [host.take_probes()],
+        None,
+        host.makespan_ms(),
+        [
             ("arrival", counts[0]),
             ("timer", counts[1]),
             ("die-free", counts[2]),
             ("weight-swap", counts[3]),
-        ]
-        .into_iter()
-        .map(|(n, c)| (n.to_string(), c))
-        .collect();
-        pr.wheel = q.wheel_profile();
-    }
+        ],
+        || q.wheel_profile(),
+    );
 
-    host.report(host.makespan_ms(), events_processed)
+    host.report(host.makespan_ms(), counts.iter().sum())
 }
 
 /// Emit one cadence sample's host gauges (state as of `now`):
 /// per-tenant queue depth and mean batch occupancy, per-die
 /// utilization, the host's raw busy-time, and the count of dies
-/// mid-swap. Shared by the metrics recorder and the health monitor so
-/// an offline monitor replay from the metrics artifact sees exactly
-/// the gauge values the online monitor saw.
+/// mid-swap — the emitter [`RunTelemetry::sample`] feeds to the metrics
+/// recorder and the health monitor alike.
 fn host_gauges(
     now: f64,
     host: &HostCore,
@@ -296,11 +245,6 @@ fn host_gauges(
     let backlog: usize = (0..host.slot_count()).map(|s| host.outstanding(s)).sum();
     emit("backlog/host0".to_string(), backlog as f64);
     emit("pending_swaps".to_string(), host.pending_swaps() as f64);
-}
-
-/// Record one cadence sample of the host probe series at stamp `t`.
-fn sample_host(m: &mut MetricsRecorder, t: f64, now: f64, host: &HostCore, tenants: &[TenantSpec]) {
-    host_gauges(now, host, tenants, &mut |name, v| m.record(&name, t, v));
 }
 
 #[cfg(test)]

@@ -28,7 +28,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
 pub use tpu_platforms::server::Dispatch;
-use tpu_telemetry::{HostProbe, RequestProbe};
+use tpu_telemetry::{HostProbe, RequestProbe, RunTelemetry};
 
 /// An event a host schedules for itself. The embedding simulation maps
 /// these onto its own event enum (see [`crate::event::Event`]).
@@ -211,30 +211,29 @@ impl HostCore {
         }
     }
 
-    /// Attach a telemetry probe: batch completions and crashes now
-    /// record spans into it (see [`HostProbe`]). Purely observational —
-    /// scheduling decisions, RNG draws, and reports are unchanged.
-    pub fn set_probe(&mut self, probe: HostProbe) {
-        self.probe = Some(Box::new(probe));
+    /// Record onto `tel`'s live instruments as host `host`: a trace
+    /// probe when tracing (batch completions and crashes record spans,
+    /// see [`HostProbe`]), a request probe when logging requests (each
+    /// completed batch records one [`tpu_telemetry::RequestRecord`] per
+    /// request). Purely observational — scheduling decisions, RNG
+    /// draws, and reports are unchanged.
+    pub fn attach_probes(&mut self, tel: &RunTelemetry, host: u32) {
+        if tel.tracer.is_some() {
+            let name = format!("host {host}");
+            self.probe = Some(Box::new(HostProbe::new(host, &name, self.die_count())));
+        }
+        if tel.requests.is_some() {
+            self.reqlog = Some(Box::new(RequestProbe::new(host)));
+        }
     }
 
-    /// Detach the probe (end of run) to absorb its spans into the run
-    /// tracer.
-    pub fn take_probe(&mut self) -> Option<HostProbe> {
-        self.probe.take().map(|b| *b)
-    }
-
-    /// Attach a request-log probe: each completed batch now records one
-    /// [`tpu_telemetry::RequestRecord`] per request. Purely
-    /// observational, like [`HostCore::set_probe`].
-    pub fn set_request_probe(&mut self, probe: RequestProbe) {
-        self.reqlog = Some(Box::new(probe));
-    }
-
-    /// Detach the request-log probe (end of run) to absorb its records
-    /// into the run's [`tpu_telemetry::RequestLog`].
-    pub fn take_request_probe(&mut self) -> Option<RequestProbe> {
-        self.reqlog.take().map(|b| *b)
+    /// Detach the trace and request probes (end of run) for
+    /// [`RunTelemetry::finish_run`] to absorb.
+    pub fn take_probes(&mut self) -> (Option<HostProbe>, Option<RequestProbe>) {
+        (
+            self.probe.take().map(|b| *b),
+            self.reqlog.take().map(|b| *b),
+        )
     }
 
     /// Add a tenant slot (replica); returns its index. Slots can be
@@ -801,16 +800,17 @@ impl HostCore {
         }
     }
 
-    /// A copy of one slot's committed latencies, in commit order (for
+    /// One slot's committed latencies, in commit order (for
     /// fleet-level merging across replicas).
-    pub fn slot_latencies(&self, slot: usize) -> Vec<f64> {
-        self.slots[slot].latencies.clone()
+    pub fn slot_latencies(&self, slot: usize) -> &[f64] {
+        &self.slots[slot].latencies
     }
 
-    /// The latencies committed for a slot since index `from` (the
-    /// autoscaler's sliding window; pair with [`Self::latency_count`]).
-    pub fn slot_latencies_from(&self, slot: usize, from: usize) -> Vec<f64> {
-        self.slots[slot].latencies[from..].to_vec()
+    /// The latencies committed for a slot since index `from` (a
+    /// completed batch's, or the autoscaler's sliding window; pair with
+    /// [`Self::latency_count`]).
+    pub fn slot_latencies_from(&self, slot: usize, from: usize) -> &[f64] {
+        &self.slots[slot].latencies[from..]
     }
 
     /// Batches dispatched by a slot so far.
@@ -1261,6 +1261,10 @@ mod tests {
     /// host state (same latencies, same busy time as a probe-free run).
     #[test]
     fn probe_spans_agree_with_swap_counters() {
+        let traced = tpu_telemetry::TelemetryConfig {
+            trace: true,
+            ..Default::default()
+        };
         let run = |probed: bool| {
             let mut h = HostCore::new(1, Dispatch::LeastLoaded, 42);
             let curve = ServiceCurve::new(1.0, 0.0, 0.0);
@@ -1274,7 +1278,7 @@ mod tests {
                 },
             );
             if probed {
-                h.set_probe(HostProbe::new(0, "host 0", 1));
+                h.attach_probes(&RunTelemetry::from_config(&traced), 0);
             }
             let mut sched = Vec::new();
             h.enqueue(a, 0.0);
@@ -1287,7 +1291,11 @@ mod tests {
         let bare = run(false);
         assert_eq!(probed.slot_latencies(0), bare.slot_latencies(0));
         assert_eq!(probed.busy_ms(), bare.busy_ms());
-        let tracer = probed.take_probe().expect("probe attached").into_tracer();
+        let tracer = probed
+            .take_probes()
+            .0
+            .expect("probe attached")
+            .into_tracer();
         let rows = tracer.summary();
         let total = |cat: &str| {
             rows.iter()
@@ -1304,6 +1312,10 @@ mod tests {
     /// and changes no observable host state.
     #[test]
     fn request_probe_records_agree_with_latencies() {
+        let logged = tpu_telemetry::TelemetryConfig {
+            requests: true,
+            ..Default::default()
+        };
         let run = |probed: bool| {
             let mut h = HostCore::new(1, Dispatch::LeastLoaded, 42);
             let curve = ServiceCurve::new(1.0, 0.0, 0.0);
@@ -1317,7 +1329,7 @@ mod tests {
                 },
             );
             if probed {
-                h.set_request_probe(RequestProbe::new(7));
+                h.attach_probes(&RunTelemetry::from_config(&logged), 7);
             }
             let mut sched = Vec::new();
             h.enqueue(a, 0.0);
@@ -1331,7 +1343,7 @@ mod tests {
         let bare = run(false);
         assert_eq!(probed.slot_latencies(0), bare.slot_latencies(0));
         assert_eq!(probed.busy_ms(), bare.busy_ms());
-        let probe = probed.take_request_probe().expect("probe attached");
+        let probe = probed.take_probes().1.expect("probe attached");
         let mut log = tpu_telemetry::RequestLog::new();
         log.absorb(probe);
         assert_eq!(log.len(), 2);

@@ -62,7 +62,7 @@ fn drive_single(
         }
         host.try_dispatch(now, &mut |at, e| q.schedule(at, e.into()));
     }
-    (host.slot_latencies(0), biggest_batch)
+    (host.slot_latencies(0).to_vec(), biggest_batch)
 }
 
 fn any_policy() -> impl Strategy<Value = BatchPolicy> {

@@ -167,6 +167,95 @@ impl RunTelemetry {
             || self.monitor.is_some()
     }
 
+    /// The cadence hook, called at every event pop: when the metrics
+    /// recorder or the monitor has reached its next sample boundary,
+    /// `gauges` emits the engine's gauge series into it. One emitter
+    /// feeds both, so an offline monitor replay from the metrics
+    /// artifact sees exactly the values the online monitor saw.
+    #[inline]
+    pub fn sample(&mut self, now_ms: f64, gauges: impl Fn(&mut dyn FnMut(String, f64))) {
+        if let Some(m) = self.metrics.as_mut() {
+            if m.due(now_ms) {
+                let t = m.advance(now_ms);
+                gauges(&mut |name, v| m.record(&name, t, v));
+            }
+        }
+        if let Some(mon) = self.monitor.as_mut() {
+            if mon.due(now_ms) {
+                let t = mon.advance(now_ms);
+                gauges(&mut |name, v| mon.record(&name, v));
+                mon.close_sample(t);
+            }
+        }
+    }
+
+    /// The completed-batch hook: one batch of `tenant` finished on
+    /// `(host, die)`, committing `latencies` (one per request) after
+    /// `service_ms` of per-request service. Feeds the tenant's metrics
+    /// latency sketch and the monitor.
+    #[inline]
+    pub fn observe_batch(
+        &mut self,
+        tenant: &str,
+        slo_ms: f64,
+        host: usize,
+        die: usize,
+        latencies: &[f64],
+        service_ms: f64,
+    ) {
+        if let Some(m) = self.metrics.as_mut() {
+            let series = format!("latency/{tenant}");
+            for &l in latencies {
+                m.observe(&series, l);
+            }
+        }
+        if let Some(mon) = self.monitor.as_mut() {
+            for &l in latencies {
+                mon.observe_latency(tenant, l, slo_ms);
+            }
+            mon.observe_service(tenant, host, die, service_ms, latencies.len());
+        }
+    }
+
+    /// The end-of-run hook: absorb each host's trace and request probes
+    /// in host-index order, then the `front_end` trace track; flush the
+    /// metrics recorder's final partial interval at `makespan_ms`; close
+    /// the monitor; and fill the engine profile with `event_counts` and
+    /// the `wheel` statistics (read only when profiling).
+    pub fn finish_run(
+        &mut self,
+        host_probes: impl IntoIterator<Item = (Option<HostProbe>, Option<RequestProbe>)>,
+        front_end: Option<HostProbe>,
+        makespan_ms: f64,
+        event_counts: impl IntoIterator<Item = (&'static str, u64)>,
+        wheel: impl FnOnce() -> Option<WheelProfile>,
+    ) {
+        for (trace, requests) in host_probes {
+            if let (Some(tr), Some(p)) = (self.tracer.as_mut(), trace) {
+                tr.absorb(p.into_tracer());
+            }
+            if let (Some(log), Some(p)) = (self.requests.as_mut(), requests) {
+                log.absorb(p);
+            }
+        }
+        if let (Some(tr), Some(p)) = (self.tracer.as_mut(), front_end) {
+            tr.absorb(p.into_tracer());
+        }
+        if let Some(m) = self.metrics.as_mut() {
+            m.flush_sketches(makespan_ms);
+        }
+        if let Some(mon) = self.monitor.as_mut() {
+            mon.finish();
+        }
+        if let Some(p) = self.profile.as_mut() {
+            p.event_counts = event_counts
+                .into_iter()
+                .map(|(n, c)| (n.to_string(), c))
+                .collect();
+            p.wheel = wheel();
+        }
+    }
+
     /// Hand every recorded artifact to `sink`, tagged with the run
     /// `label`.
     pub fn emit(&self, label: &str, sink: &mut dyn TelemetrySink) {

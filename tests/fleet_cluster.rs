@@ -54,24 +54,38 @@ fn serve_tenants() -> Vec<TenantSpec> {
 
 /// The acceptance anchor: a 1-host, 1-replica fleet with zero-cost
 /// hops replays `tpu_serve::run` exactly — same event sequence, same
-/// seeded streams, bit-identical report (struct, text, and JSON).
+/// seeded streams, bit-identical report (struct, text, and JSON). The
+/// inputs are three die/dispatch/seed configurations of one mix, then
+/// every run of every `tpu_serve` scenario at the golden scale (priority
+/// mixes, bursty streams, fixed, timeout and SLO-adaptive batching,
+/// both dispatch rules): the delivery order a single fleet loop must
+/// keep to stand in for the serve loop.
 #[test]
 fn one_host_fleet_reproduces_tpu_serve_exactly() {
-    let cfg = TpuConfig::paper();
-    for (dies, dispatch, seed) in [
+    let mut inputs: Vec<(String, ClusterSpec, Vec<TenantSpec>)> = [
         (1usize, Dispatch::LeastLoaded, 42u64),
         (3, Dispatch::LeastLoaded, 7),
         (2, Dispatch::RoundRobin, 1234),
-    ] {
-        let tenants = serve_tenants();
-        let serve_report = run(
-            &ClusterSpec::new(dies, seed).with_dispatch(dispatch),
-            &tenants,
-            &cfg,
-        );
+    ]
+    .into_iter()
+    .map(|(dies, dispatch, seed)| {
+        let cluster = ClusterSpec::new(dies, seed).with_dispatch(dispatch);
+        (format!("dies={dies} seed={seed}"), cluster, serve_tenants())
+    })
+    .collect();
+    for s in tpu_repro::tpu_serve::all_scenarios() {
+        let s = s.scale_requests(0.05);
+        for r in s.runs {
+            inputs.push((format!("{} / {}", s.name, r.label), r.cluster, r.tenants));
+        }
+    }
+    assert_eq!(inputs.len(), 3 + 15, "every serve scenario run is an input");
+    let cfg = TpuConfig::paper();
+    for (label, cluster, tenants) in inputs {
+        let serve_report = run(&cluster, &tenants, &cfg);
 
-        let mut fleet = FleetSpec::new(1, dies, seed).with_hop(HopModel::None);
-        fleet.hosts[0].dispatch = dispatch;
+        let mut fleet = FleetSpec::new(1, cluster.dies, cluster.seed).with_hop(HopModel::None);
+        fleet.hosts[0].dispatch = cluster.dispatch;
         let fleet_tenants: Vec<FleetTenantSpec> = tenants
             .iter()
             .map(|t| FleetTenantSpec::new(t.clone(), 1))
@@ -79,19 +93,16 @@ fn one_host_fleet_reproduces_tpu_serve_exactly() {
         let fleet_run = run_fleet(&fleet, &fleet_tenants, &cfg);
 
         let host0 = &fleet_run.host_reports[0];
-        assert_eq!(
-            host0, &serve_report,
-            "dies={dies} seed={seed}: structural equality"
-        );
+        assert_eq!(host0, &serve_report, "{label}: structural equality");
         assert_eq!(
             format!("{host0}"),
             format!("{serve_report}"),
-            "dies={dies} seed={seed}: text report must be bit-identical"
+            "{label}: text report must be bit-identical"
         );
         assert_eq!(
             ServeReport::to_json(host0).to_string(),
             ServeReport::to_json(&serve_report).to_string(),
-            "dies={dies} seed={seed}: JSON report must be bit-identical"
+            "{label}: JSON report must be bit-identical"
         );
     }
 }
