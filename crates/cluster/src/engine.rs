@@ -2043,7 +2043,7 @@ fn run_fleet_sharded(
 /// run's state. Host and replica indices are global here.
 fn assemble(spec: &FleetSpec, placement: PlacementPlan, out: ScopedRun) -> FleetRun {
     let ScopedRun {
-        hosts,
+        mut hosts,
         trs,
         events_processed,
         timeline,
@@ -2051,8 +2051,10 @@ fn assemble(spec: &FleetSpec, placement: PlacementPlan, out: ScopedRun) -> Fleet
         ..
     } = out;
 
+    // Reporting sorts every slot's latency log, which `tenant_report`
+    // then reads.
     let host_reports: Vec<ServeReport> = hosts
-        .iter()
+        .iter_mut()
         .map(|h| h.core.report(h.core.makespan_ms(), h.events))
         .collect();
     let tenant_reports: Vec<FleetTenantReport> = trs
@@ -2102,7 +2104,10 @@ fn assemble(spec: &FleetSpec, placement: PlacementPlan, out: ScopedRun) -> Fleet
 }
 
 /// One tenant's fleet-wide row: latencies merged across its replicas,
-/// and its serving-replica `counts` along the timeline.
+/// and its serving-replica `counts` along the timeline. `hosts` have
+/// been reported, so each slot's latency log is already sorted: a
+/// single replica's log is read as it is, and several are merged into
+/// one buffer of their exact total length and sorted.
 fn tenant_report(
     tr: &TenantRt,
     hosts: &[HostRt],
@@ -2110,15 +2115,26 @@ fn tenant_report(
     makespan_ms: f64,
 ) -> FleetTenantReport {
     let slots = || tr.replicas.iter().map(|r| (&hosts[r.host].core, r.slot));
-    let mut merged: Vec<f64> = slots()
-        .flat_map(|(core, slot)| core.slot_latencies(slot).iter().copied())
-        .collect();
-    merged.sort_unstable_by(|a, b| a.total_cmp(b));
-    let n = merged.len();
+    let merged: Vec<f64>;
+    let sorted: &[f64] = match tr.replicas.as_slice() {
+        [r] => hosts[r.host].core.slot_latencies(r.slot),
+        _ => {
+            let len = slots().map(|(core, slot)| core.latency_count(slot)).sum();
+            let mut all = Vec::with_capacity(len);
+            for (core, slot) in slots() {
+                all.extend_from_slice(core.slot_latencies(slot));
+            }
+            all.sort_unstable_by(f64::total_cmp);
+            merged = all;
+            &merged
+        }
+    };
+    debug_assert!(sorted.is_sorted_by(|a, b| a.total_cmp(b).is_le()));
+    let n = sorted.len();
     let batches: usize = slots().map(|(core, slot)| core.slot_batches(slot)).sum();
     let dispatched: usize = slots().map(|(core, slot)| core.slot_dispatched(slot)).sum();
     let slo_ms = tr.spec.tenant.slo_ms;
-    let slo_hits = merged.iter().filter(|&&l| l <= slo_ms).count();
+    let slo_hits = sorted.iter().filter(|&&l| l <= slo_ms).count();
     FleetTenantReport {
         name: tr.spec.tenant.name.clone(),
         workload: tr.spec.tenant.workload.clone(),
@@ -2132,10 +2148,10 @@ fn tenant_report(
         retries: tr.retries,
         batches,
         mean_batch: dispatched as f64 / batches.max(1) as f64,
-        mean_ms: merged.iter().sum::<f64>() / n.max(1) as f64,
-        p50_ms: percentile(&merged, 0.50),
-        p95_ms: percentile(&merged, 0.95),
-        p99_ms: percentile(&merged, 0.99),
+        mean_ms: sorted.iter().sum::<f64>() / n.max(1) as f64,
+        p50_ms: percentile(sorted, 0.50),
+        p95_ms: percentile(sorted, 0.95),
+        p99_ms: percentile(sorted, 0.99),
         slo_ms,
         slo_attainment: slo_hits as f64 / n.max(1) as f64,
         throughput_rps: n as f64 / makespan_ms.max(f64::MIN_POSITIVE) * 1000.0,

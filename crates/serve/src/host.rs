@@ -754,16 +754,17 @@ impl HostCore {
     }
 
     /// Build the host's [`ServeReport`] (per-slot percentiles and SLO
-    /// attainment against `makespan_ms`, per-die utilization). The host
-    /// state is left untouched, so fleet-level reports can merge raw
-    /// latencies afterwards.
-    pub fn report(&self, makespan_ms: f64, events_processed: u64) -> ServeReport {
+    /// attainment against `makespan_ms`, per-die utilization). Each
+    /// slot's latency log is sorted in place, without a copy, and stays
+    /// sorted afterwards: fleet-level reports read the sorted logs when
+    /// they merge a tenant's replicas.
+    pub fn report(&mut self, makespan_ms: f64, events_processed: u64) -> ServeReport {
         let tenants: Vec<TenantReport> = self
             .slots
-            .iter()
+            .iter_mut()
             .map(|s| {
-                let mut sorted = s.latencies.clone();
-                sorted.sort_unstable_by(|a, b| a.total_cmp(b)); // finite, ±0-free: same order, no float Option
+                s.latencies.sort_unstable_by(f64::total_cmp); // finite, ±0-free: same order, no float Option
+                let sorted = &s.latencies;
                 let n = sorted.len();
                 let slo_hits = sorted.iter().filter(|&&l| l <= s.spec.slo_ms).count();
                 TenantReport {
@@ -774,9 +775,9 @@ impl HostCore {
                     batches: s.batches,
                     mean_batch: s.dispatched as f64 / s.batches.max(1) as f64,
                     mean_ms: sorted.iter().sum::<f64>() / n.max(1) as f64,
-                    p50_ms: percentile(&sorted, 0.50),
-                    p95_ms: percentile(&sorted, 0.95),
-                    p99_ms: percentile(&sorted, 0.99),
+                    p50_ms: percentile(sorted, 0.50),
+                    p95_ms: percentile(sorted, 0.95),
+                    p99_ms: percentile(sorted, 0.99),
                     slo_ms: s.spec.slo_ms,
                     slo_attainment: slo_hits as f64 / n.max(1) as f64,
                     throughput_rps: n as f64 / makespan_ms.max(f64::MIN_POSITIVE) * 1000.0,
@@ -800,8 +801,9 @@ impl HostCore {
         }
     }
 
-    /// One slot's committed latencies, in commit order (for
-    /// fleet-level merging across replicas).
+    /// One slot's committed latencies, in commit order until
+    /// [`Self::report`] sorts them (for fleet-level merging across
+    /// replicas).
     pub fn slot_latencies(&self, slot: usize) -> &[f64] {
         &self.slots[slot].latencies
     }

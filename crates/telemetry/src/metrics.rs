@@ -18,10 +18,9 @@
 //! sketch per series stays queryable via [`MetricsRecorder::sketch`].
 
 use crate::stats::LatencySketch;
-use serde_json::Value;
+use serde_json::{write_f64, Value};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 
 /// Sampling cadence and ring capacity.
 #[derive(Debug, Clone, PartialEq)]
@@ -198,7 +197,9 @@ impl MetricsRecorder {
     }
 
     /// Export every series in long format: `t_ms,series,value` with a
-    /// header row, series in name order, points oldest first.
+    /// header row, series in name order, points oldest first. Numbers
+    /// print exactly as `{}` prints them (`-0` included), through
+    /// `serde_json`'s number writer rather than `core::fmt`.
     pub fn to_csv(&self) -> String {
         const HEADER: &str = "t_ms,series,value\n";
         // A line is the series name plus two short numbers (a cadence
@@ -213,8 +214,12 @@ impl MetricsRecorder {
         out.push_str(HEADER);
         for (name, buf) in &self.series {
             for p in &buf.points {
-                // `String`'s `fmt::Write` cannot fail.
-                let _ = writeln!(out, "{},{},{}", p.t_ms, name, p.value);
+                write_f64(&mut out, p.t_ms);
+                out.push(',');
+                out.push_str(name);
+                out.push(',');
+                write_f64(&mut out, p.value);
+                out.push('\n');
             }
         }
         out

@@ -137,6 +137,9 @@ impl RequestProbe {
                 i
             }
         };
+        // One push per arrival, so the buffer grows by doubling: a
+        // per-batch `reserve` sizes it to odd lengths, which raised the
+        // process's peak RSS (not its live heap) under glibc's malloc.
         for &arrived_ms in arrivals {
             self.records.push(RequestRecord {
                 tenant: idx,
@@ -217,7 +220,8 @@ impl RequestLog {
     }
 
     /// Merge a host probe's records (in its completion order), remapping
-    /// tenant indices by name and attaching any noted retries.
+    /// tenant indices by name and attaching any noted retries. With no
+    /// retry pending, the records move over in one pass.
     pub fn absorb(&mut self, probe: RequestProbe) {
         let remap: Vec<usize> = probe
             .tenants
@@ -232,17 +236,23 @@ impl RequestLog {
                 }
             })
             .collect();
+        self.records.reserve(probe.records.len());
+        if self.pending_retries.is_empty() {
+            self.records
+                .extend(probe.records.into_iter().map(|r| RequestRecord {
+                    tenant: remap[r.tenant],
+                    ..r
+                }));
+            return;
+        }
         for mut r in probe.records {
-            let name = &self.tenants[remap[r.tenant]].0;
+            r.tenant = remap[r.tenant];
             if !self.pending_retries.is_empty() {
-                if let Some(n) = self
-                    .pending_retries
-                    .remove(&(name.clone(), r.arrived_ms.to_bits()))
-                {
+                let key = (self.tenants[r.tenant].0.clone(), r.arrived_ms.to_bits());
+                if let Some(n) = self.pending_retries.remove(&key) {
                     r.retries = n;
                 }
             }
-            r.tenant = remap[r.tenant];
             self.records.push(r);
         }
     }
