@@ -220,8 +220,7 @@ impl RequestLog {
     }
 
     /// Merge a host probe's records (in its completion order), remapping
-    /// tenant indices by name and attaching any noted retries. With no
-    /// retry pending, the records move over in one pass.
+    /// tenant indices by name and attaching any noted retries.
     pub fn absorb(&mut self, probe: RequestProbe) {
         let remap: Vec<usize> = probe
             .tenants
@@ -237,22 +236,17 @@ impl RequestLog {
             })
             .collect();
         self.records.reserve(probe.records.len());
-        if self.pending_retries.is_empty() {
-            self.records
-                .extend(probe.records.into_iter().map(|r| RequestRecord {
-                    tenant: remap[r.tenant],
-                    ..r
-                }));
-            return;
-        }
         for mut r in probe.records {
-            r.tenant = remap[r.tenant];
+            let name = &self.tenants[remap[r.tenant]].0;
             if !self.pending_retries.is_empty() {
-                let key = (self.tenants[r.tenant].0.clone(), r.arrived_ms.to_bits());
-                if let Some(n) = self.pending_retries.remove(&key) {
+                if let Some(n) = self
+                    .pending_retries
+                    .remove(&(name.clone(), r.arrived_ms.to_bits()))
+                {
                     r.retries = n;
                 }
             }
+            r.tenant = remap[r.tenant];
             self.records.push(r);
         }
     }
